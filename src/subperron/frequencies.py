@@ -170,7 +170,15 @@ def factor_frequencies(s: Substitution, a, n: int,
     a = _letter_index(s, a)
     power = stabilizing_power(s)
     zs = s.power(power) if power > 1 else s
-    zn, fa = blow_up(zs, n)
+    return _blow_up_limit(s, zs, a, n, tol, max_iter)
+
+
+def _blow_up_limit(s: Substitution, zs: Substitution, a: int, n: int,
+                   tol: float, max_iter: int,
+                   fa: FactorAlphabet | None = None) -> dict[Word, float]:
+    """``factor_frequencies`` once ``zs``, the stabilizing power of ``s``,
+    is known; ``fa`` is ``factor_alphabet(zs, n)`` if already built."""
+    zn, fa = blow_up(zs, n, fa)
     mn = zn.incidence_matrix()
     if not scc_blocks(mn).is_pb_frobenius():
         raise NotPBFrobeniusError(
@@ -293,4 +301,4 @@ def measure_cylinder(s: Substitution, a, word,
     fa = factor_alphabet(zs, len(word))
     if word not in fa:
         return 0.0
-    return factor_frequencies(s, a, len(word), tol=tol, max_iter=max_iter)[word]
+    return _blow_up_limit(s, zs, a, len(word), tol, max_iter, fa)[word]

@@ -2,7 +2,8 @@
 
 Everything here is exact: entries are arbitrary-precision Python ints, and
 the block machinery (strongly connected components, periods, Frobenius-form
-powers) is purely combinatorial.  Vectors are plain tuples of ints.
+powers) is purely combinatorial and walks only the non-zeros of each row.
+Vectors are plain tuples of ints.
 """
 
 from __future__ import annotations
@@ -16,10 +17,19 @@ from typing import Iterable, Sequence
 from .errors import ParseError
 
 IntVector = tuple[int, ...]
+#: non-zeros of one matrix row: ``(column, entry)`` pairs, increasing column
+SparseRow = tuple[tuple[int, int], ...]
 
 
 class ExactMatrix:
     """Square non-negative matrix with arbitrary-precision integer entries.
+
+    Stored by its non-zeros: ``rows[i]`` holds the pairs ``(j, m_ij)`` with
+    ``m_ij > 0``, sorted by ``j``.  Incidence matrices of substitutions and
+    of their blow-ups have as many non-zeros as letters in all images, far
+    fewer than ``n**2``, and every kernel here walks only those.
+    ``entries`` is the dense view (a tuple of rows), built on demand for
+    small-matrix callers.
 
     Instances are immutable; all arithmetic returns new matrices.  Entry
     ``(i, j)`` counts flow from coordinate ``j`` into coordinate ``i``
@@ -27,47 +37,71 @@ class ExactMatrix:
     whenever ``entries[i][j] > 0``.
     """
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "rows")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        entries = tuple(tuple(int(x) for x in row) for row in rows)
-        n = len(entries)
+        dense = tuple(tuple(int(x) for x in row) for row in rows)
+        n = len(dense)
         if n == 0:
             raise ValueError("matrix must be non-empty")
-        for row in entries:
+        for row in dense:
             if len(row) != n:
                 raise ValueError("matrix must be square")
             for x in row:
                 if x < 0:
                     raise ValueError("matrix entries must be non-negative")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "rows", tuple(
+            tuple((j, x) for j, x in enumerate(row) if x) for row in dense
+        ))
+
+    @classmethod
+    def from_nonzeros(cls, rows: Sequence[SparseRow]) -> "ExactMatrix":
+        """Wrap rows already in stored form: ``rows[i]`` lists the pairs
+        ``(j, m_ij)`` with ``m_ij > 0`` in increasing ``j``.  Not checked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "n", len(rows))
+        object.__setattr__(m, "rows", tuple(rows))
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, ExactMatrix) and self.entries == other.entries
+        return isinstance(other, ExactMatrix) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(self.rows)
 
     def __repr__(self):
         return f"ExactMatrix({[list(r) for r in self.entries]})"
 
+    @property
+    def entries(self) -> tuple[IntVector, ...]:
+        """The dense rows (``n**2`` entries, built on each access)."""
+        return tuple(tuple(d.get(j, 0) for j in range(self.n))
+                     for d in map(dict, self.rows))
+
+    def entry(self, i: int, j: int) -> int:
+        """The entry ``(i, j)``, looked up in row ``i``'s non-zeros."""
+        return dict(self.rows[i]).get(j, 0)
+
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_nonzeros([((i, 1),) for i in range(n)])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        a, b = self.entries, other.entries
-        n = self.n
-        cols = tuple(zip(*b))
-        return ExactMatrix(
-            [[sum(ra[k] * cb[k] for k in range(n)) for cb in cols] for ra in a]
-        )
+        b = other.rows
+        out = []
+        for row in self.rows:
+            acc: dict[int, int] = {}
+            for k, x in row:
+                for j, y in b[k]:
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append(tuple(sorted(acc.items())))
+        return ExactMatrix.from_nonzeros(out)
 
     def pow(self, t: int) -> "ExactMatrix":
         """Exact ``self**t`` by binary powering (``t >= 0``)."""
@@ -86,22 +120,30 @@ class ExactMatrix:
         """Exact matrix-vector product ``M @ v``."""
         if len(v) != self.n:
             raise ValueError("dimension mismatch")
-        return tuple(sum(row[j] * v[j] for j in range(self.n)) for row in self.entries)
+        out = []
+        for row in self.rows:
+            s = 0
+            for j, x in row:
+                s += x * v[j]
+            out.append(s)
+        return tuple(out)
 
     def submatrix(self, indices: Sequence[int]) -> "ExactMatrix":
-        return ExactMatrix([[self.entries[i][j] for j in indices] for i in indices])
-
-    def column_is_zero(self, j: int) -> bool:
-        return all(self.entries[i][j] == 0 for i in range(self.n))
+        """Rows and columns ``indices``, in that order."""
+        pos = {v: k for k, v in enumerate(indices)}
+        return ExactMatrix.from_nonzeros([
+            tuple(sorted((pos[j], x) for j, x in self.rows[i] if j in pos))
+            for i in indices
+        ])
 
     def has_zero_column(self) -> bool:
-        return any(self.column_is_zero(j) for j in range(self.n))
+        return len({j for row in self.rows for j, _ in row}) < self.n
 
     def max_entry(self) -> int:
-        return max(max(row) for row in self.entries)
+        return max((x for row in self.rows for _, x in row), default=0)
 
     def is_entrywise_positive(self) -> bool:
-        return all(x > 0 for row in self.entries for x in row)
+        return all(len(row) == self.n for row in self.rows)
 
 
 def mat_pow_apply(m: ExactMatrix, v: Sequence[int], t: int) -> IntVector:
@@ -230,19 +272,15 @@ class BlockDecomposition:
     def permuted(self, m: ExactMatrix) -> ExactMatrix:
         """The matrix with rows/columns reordered by ``perm`` (lower block
         triangular by construction)."""
-        return ExactMatrix(
-            [[m.entries[self.perm[p]][self.perm[q]] for q in range(self.n)]
-             for p in range(self.n)]
-        )
+        return m.submatrix(self.perm)
 
 
 def _successors(m: ExactMatrix) -> list[list[int]]:
     """Flow digraph: edge j -> i whenever entry (i, j) > 0."""
     adj: list[list[int]] = [[] for _ in range(m.n)]
-    for i, row in enumerate(m.entries):
-        for j, x in enumerate(row):
-            if x > 0:
-                adj[j].append(i)
+    for i, row in enumerate(m.rows):
+        for j, _ in row:
+            adj[j].append(i)
     return adj
 
 
@@ -295,54 +333,62 @@ def _tarjan_sccs(adj: list[list[int]]) -> list[list[int]]:
     return sccs
 
 
-def _scc_period(m: ExactMatrix, comp: list[int]) -> int:
-    """Period of a strongly connected component: gcd over non-tree edges of
-    BFS level differences (edges restricted to the component)."""
+def _cyclic_classes(adj: list[list[int]], comp: Sequence[int]) -> list[list[int]]:
+    """Cyclic classes of a strongly connected component; their number is
+    its period.  One BFS from ``comp[0]`` over the successor lists ``adj``
+    (edges restricted to the component) gives levels; the period ``h`` is
+    the gcd over the component's edges ``u -> v`` of
+    ``level(u) + 1 - level(v)``, and a class holds the vertices of one level
+    residue mod ``h``.  Classes are sorted and ordered by first member."""
     members = set(comp)
-    pos = {v: k for k, v in enumerate(comp)}
-    adj: list[list[int]] = [[] for _ in comp]
-    for j in comp:
-        for i in range(m.n):
-            if m.entries[i][j] > 0 and i in members:
-                adj[pos[j]].append(pos[i])
-    level = [-1] * len(comp)
-    level[0] = 0
-    queue = [0]
+    level = {comp[0]: 0}
+    queue = [comp[0]]
     g = 0
     while queue:
         nxt = []
         for u in queue:
             for v in adj[u]:
-                if level[v] == -1:
+                if v not in members:
+                    continue
+                if v not in level:
                     level[v] = level[u] + 1
                     nxt.append(v)
                 else:
                     g = math.gcd(g, level[u] + 1 - level[v])
         queue = nxt
-    return g if g > 0 else 1
+    h = g if g > 0 else 1
+    classes: list[list[int]] = [[] for _ in range(h)]
+    for v in comp:
+        classes[level[v] % h].append(v)
+    for cls in classes:
+        cls.sort()
+    classes.sort(key=lambda c: c[0])
+    return classes
 
 
-def _is_cyclic_permutation(sub: ExactMatrix) -> bool:
-    """True iff the (irreducible) submatrix is a permutation matrix; for an
-    irreducible non-negative integer matrix this characterizes spectral
-    radius exactly 1."""
-    n = sub.n
-    for row in sub.entries:
-        if sum(row) != 1 or any(x not in (0, 1) for x in row):
+def _is_cyclic_permutation(m: ExactMatrix, comp: Sequence[int]) -> bool:
+    """True iff the strongly connected component's submatrix is a
+    permutation matrix; for an irreducible non-negative integer matrix this
+    characterizes spectral radius exactly 1.  It suffices that each row has
+    a single non-zero inside the component, equal to 1: every column then
+    has one too, as every vertex has a successor inside."""
+    members = set(comp)
+    for i in comp:
+        inside = [x for j, x in m.rows[i] if j in members]
+        if inside != [1]:
             return False
-    return all(sum(sub.entries[i][j] for i in range(n)) == 1 for j in range(n))
+    return True
 
 
-def _classify_scc(m: ExactMatrix, comp: list[int]) -> BlockClass:
+def _classify_scc(m: ExactMatrix, adj: list[list[int]],
+                  comp: list[int]) -> BlockClass:
     if len(comp) == 1:
-        entry = m.entries[comp[0]][comp[0]]
-        if entry in (0, 1):
+        if m.entry(comp[0], comp[0]) in (0, 1):
             return BlockClass.ZERO_ONE
         return BlockClass.PRIMITIVE
-    sub = m.submatrix(comp)
-    if _is_cyclic_permutation(sub):
+    if _is_cyclic_permutation(m, comp):
         return BlockClass.POWER_BOUNDED
-    if _scc_period(m, comp) == 1:
+    if len(_cyclic_classes(adj, comp)) == 1:
         return BlockClass.PRIMITIVE
     return BlockClass.IMPRIMITIVE
 
@@ -355,12 +401,12 @@ def _block_dag_edges(m: ExactMatrix, blocks: list[list[int]]) -> list[set[int]]:
         for v in comp:
             block_of[v] = k
     out: list[set[int]] = [set() for _ in blocks]
-    for i in range(m.n):
-        for j in range(m.n):
-            if m.entries[i][j] > 0:
-                a, b = block_of[j], block_of[i]
-                if a != b:
-                    out[a].add(b)
+    for i, row in enumerate(m.rows):
+        b = block_of[i]
+        for j, _ in row:
+            a = block_of[j]
+            if a != b:
+                out[a].add(b)
     return out
 
 
@@ -444,7 +490,7 @@ def scc_blocks(m: ExactMatrix) -> BlockDecomposition:
     """
     adj = _successors(m)
     sccs = _tarjan_sccs(adj)
-    classes = [_classify_scc(m, comp) for comp in sccs]
+    classes = [_classify_scc(m, adj, comp) for comp in sccs]
     return _build_decomposition(m, sccs, classes)
 
 
@@ -453,11 +499,12 @@ def is_primitive(m: ExactMatrix) -> bool:
     matrix (equivalently some power up to the Wielandt bound is entrywise
     positive)."""
     if m.n == 1:
-        return m.entries[0][0] > 0
-    sccs = _tarjan_sccs(_successors(m))
+        return m.entry(0, 0) > 0
+    adj = _successors(m)
+    sccs = _tarjan_sccs(adj)
     if len(sccs) != 1:
         return False
-    return _scc_period(m, sccs[0]) == 1
+    return len(_cyclic_classes(adj, sccs[0])) == 1
 
 
 def is_power_bounded(m: ExactMatrix) -> bool:
@@ -475,7 +522,7 @@ def is_power_bounded(m: ExactMatrix) -> bool:
         members = dec.members(i)
         rho_one.append(
             cls is BlockClass.POWER_BOUNDED
-            or (len(members) == 1 and m.entries[members[0]][members[0]] == 1)
+            or (len(members) == 1 and m.entry(members[0], members[0]) == 1)
         )
     return not any(
         rho_one[a] and rho_one[b] for (a, b) in dec.order
@@ -494,50 +541,24 @@ def is_expanding(m: ExactMatrix) -> bool:
     )
 
 
-def _cyclic_classes(m: ExactMatrix, comp: tuple[int, ...], h: int) -> list[list[int]]:
-    """Split an SCC of period ``h`` into its ``h`` cyclic classes."""
-    members = set(comp)
-    adj = {v: [] for v in comp}
-    for j in comp:
-        for i in range(m.n):
-            if m.entries[i][j] > 0 and i in members:
-                adj[j].append(i)
-    level = {comp[0]: 0}
-    queue = [comp[0]]
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in adj[u]:
-                if v not in level:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        queue = nxt
-    classes: list[list[int]] = [[] for _ in range(h)]
-    for v in comp:
-        classes[level[v] % h].append(v)
-    for cls in classes:
-        cls.sort()
-    classes.sort(key=lambda c: c[0])
-    return classes
-
-
 def _frobenius_power(m: ExactMatrix, split_cyclic: bool) -> tuple[int, BlockDecomposition]:
     dec = scc_blocks(m)
+    adj = _successors(m)
+    parts = {i: _cyclic_classes(adj, dec.members(i))
+             for i, cls in enumerate(dec.classes) if cls is BlockClass.IMPRIMITIVE}
     exponent = 1
     for i, cls in enumerate(dec.classes):
-        members = dec.members(i)
         if cls is BlockClass.IMPRIMITIVE:
-            exponent = math.lcm(exponent, _scc_period(m, list(members)))
+            exponent = math.lcm(exponent, len(parts[i]))
         elif split_cyclic and cls is BlockClass.POWER_BOUNDED:
-            exponent = math.lcm(exponent, len(members))
+            exponent = math.lcm(exponent, len(dec.members(i)))
     mt = m.pow(exponent)
     blocks: list[list[int]] = []
     classes: list[BlockClass] = []
     for i, cls in enumerate(dec.classes):
         members = dec.members(i)
         if cls is BlockClass.IMPRIMITIVE:
-            h = _scc_period(m, list(members))
-            for part in _cyclic_classes(m, members, h):
+            for part in parts[i]:
                 blocks.append(part)
                 classes.append(BlockClass.PRIMITIVE)
         elif split_cyclic and cls is BlockClass.POWER_BOUNDED:

@@ -95,8 +95,23 @@ def l1_dist(a: Sequence[float], b: Sequence[float]) -> float:
     return float(sum(abs(x - y) for x, y in zip(a, b)))
 
 
+def _row_sums(rows: Sequence[Sequence[tuple[int, float]]],
+              x: Sequence[float]) -> list[float]:
+    """``sum(a * x[j])`` over the pairs ``(j, a)`` of each row, from 0.0 in
+    increasing ``j``: the order of the dense sum, whose zero terms change
+    nothing, so the result is the same to the last bit."""
+    out = []
+    for row in rows:
+        s = 0.0
+        for j, a in row:
+            s += a * x[j]
+        out.append(s)
+    return out
+
+
 def float_matvec(m: ExactMatrix, x: Sequence[float]) -> list[float]:
-    return [sum(row[j] * x[j] for j in range(m.n)) for row in m.entries]
+    """``M @ x`` in floats, over the non-zeros of ``M``."""
+    return _row_sums(m.rows, x)
 
 
 def _snapshot(w: Sequence[int]) -> FloatVector:
@@ -123,21 +138,40 @@ def _rescale(w: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _Trajectory:
-    """Exact power iteration ``w <- M w`` with per-step float snapshot."""
+    """Exact power iteration ``w <- M w``.  Each step takes the float
+    snapshot ``x`` and its l1 distance ``diff`` from the previous one.
 
-    __slots__ = ("m", "w", "t", "x", "lam_hat", "residual", "diff")
+    The eigen-estimate ``lam_hat = ||M x||_1`` and the residual
+    ``||M x - lam_hat x||_1`` cost a float matvec, so they are computed on
+    first use at the current step: ``settled`` asks for them only once
+    ``diff`` is within ``tol``, and a run that stops on budget reads them at
+    its final step.
+    """
+
+    __slots__ = ("m", "w", "t", "x", "diff", "_measured")
 
     def __init__(self, m: ExactMatrix, v0: Sequence[int]):
         self.m = m
         self.w = tuple(int(c) for c in v0)
         self.t = 0
         self.x = _snapshot(self.w)
-        self._measure()
+        self._measured = None
 
-    def _measure(self) -> None:
-        y = float_matvec(self.m, self.x)
-        self.lam_hat = sum(y)
-        self.residual = sum(abs(yi - self.lam_hat * xi) for yi, xi in zip(y, self.x))
+    def _measure(self) -> tuple[float, float]:
+        if self._measured is None:
+            y = float_matvec(self.m, self.x)
+            lam = sum(y)
+            self._measured = (
+                lam, sum(abs(yi - lam * xi) for yi, xi in zip(y, self.x)))
+        return self._measured
+
+    @property
+    def lam_hat(self) -> float:
+        return self._measure()[0]
+
+    @property
+    def residual(self) -> float:
+        return self._measure()[1]
 
     def step(self) -> None:
         self.w = self.m.apply(self.w)
@@ -147,7 +181,7 @@ class _Trajectory:
         x_new = _snapshot(self.w)
         self.diff = l1_dist(x_new, self.x)
         self.x = x_new
-        self._measure()
+        self._measured = None
 
     def settled(self, tol: float) -> bool:
         return self.diff <= tol and self.residual <= tol
@@ -162,26 +196,27 @@ def pf_eigen_block(m: ExactMatrix, dec: BlockDecomposition, i: int,
     the diagonal block ``i`` (which must be primitive or a 1x1 zero/one
     block).
 
-    Power iteration from the uniform vector; the Collatz-Wielandt bracket
-    ``[min_i (Av)_i/v_i, max_i (Av)_i/v_i]`` certifies the eigenvalue once
-    its width drops below ``width``.
+    Power iteration on the block's non-zeros from the uniform vector; the
+    Collatz-Wielandt bracket ``[min_i (Av)_i/v_i, max_i (Av)_i/v_i]``
+    certifies the eigenvalue once its width drops below ``width``.
     """
     cls = dec.classes[i]
     members = dec.members(i)
     if cls is BlockClass.ZERO_ONE:
-        return float(m.entries[members[0]][members[0]]), (1.0,)
+        return float(m.entry(members[0], members[0])), (1.0,)
     if cls is not BlockClass.PRIMITIVE:
         raise ValueError(
             f"block {i} is {cls.value}, not primitive or zero/one; "
             "raise the matrix to a power first"
         )
-    sub = [[float(m.entries[a][b]) for b in members] for a in members]
+    sub = [[(c, float(a)) for c, a in row]
+           for row in m.submatrix(members).rows]
     k = len(members)
     if k == 1:
-        return sub[0][0], (1.0,)
+        return sub[0][0][1], (1.0,)
     x = [1.0 / k] * k
     for _ in range(500000):
-        y = [sum(sub[r][c] * x[c] for c in range(k)) for r in range(k)]
+        y = _row_sums(sub, x)
         ratios = [y[r] / x[r] for r in range(k)]
         lo, hi = min(ratios), max(ratios)
         s = sum(y)
@@ -199,7 +234,7 @@ def block_eigenvalues(m: ExactMatrix, dec: BlockDecomposition) -> tuple[float, .
         if cls is BlockClass.PRIMITIVE:
             out.append(pf_eigen_block(m, dec, i)[0])
         elif cls is BlockClass.ZERO_ONE:
-            out.append(float(m.entries[dec.members(i)[0]][dec.members(i)[0]]))
+            out.append(float(m.entry(dec.members(i)[0], dec.members(i)[0])))
         elif cls is BlockClass.POWER_BOUNDED:
             out.append(1.0)
         else:
@@ -312,11 +347,14 @@ def normalized_limit(m: ExactMatrix, v0: Sequence[int],
     Iterates with exact integers (rescaled by a common right-shift every 64
     steps to cap bit growth), renormalizing the float snapshot to l1 = 1.
     Stops when both the successive difference and the eigen-residual
-    ``||M x - lam * x||_1`` (with ``lam = ||M x||_1``) fall below ``tol``.
-    If the budget runs out the report carries the final iterate with
-    ``converged=False`` and a diagnostic; slow trajectories (equal block
-    eigenvalues along a chain) approach their limit at rate 1/t, so budget
-    exhaustion there is expected rather than pathological.
+    ``||M x - lam * x||_1`` (with ``lam = ||M x||_1``) fall below ``tol``;
+    the residual, a float matvec, is computed only at steps whose
+    successive difference is within ``tol``.  The reported eigenvalue and
+    residual are those of the reported iterate.  If the budget runs out
+    the report carries the final iterate with ``converged=False`` and a
+    diagnostic; slow trajectories (equal block eigenvalues along a chain)
+    approach their limit at rate 1/t, so budget exhaustion there is
+    expected rather than pathological.
     """
     dec = scc_blocks(m)
     if not dec.is_pb_frobenius():
@@ -426,12 +464,10 @@ def principal_eigenvector(m: ExactMatrix, dec: BlockDecomposition,
     if dep_indices:
         y = float_matvec(m, v)
         u = [y[idx] for idx in dep_indices]
+        dep = m.submatrix(dep_indices).entries
         a = [
-            [
-                (lam if r == c else 0.0) - float(m.entries[dep_indices[r]][dep_indices[c]])
-                for c in range(len(dep_indices))
-            ]
-            for r in range(len(dep_indices))
+            [(lam if r == c else 0.0) - float(x) for c, x in enumerate(row)]
+            for r, row in enumerate(dep)
         ]
         x = _linalg.solve(a, u)
         for idx, val in zip(dep_indices, x):

@@ -150,15 +150,14 @@ class Substitution:
 
     def incidence_matrix(self) -> ExactMatrix:
         """Entry (i, j) counts occurrences of letter i in the image of
-        letter j, so that M v(w) = v(zeta(w)) for occurrence vectors."""
-        n = len(self.alphabet)
-        cols = []
-        for img in self.images:
-            col = [0] * n
+        letter j, so that M v(w) = v(zeta(w)) for occurrence vectors.
+        Built from the images in one pass over their letters: row i gets
+        the pair (j, count) for each letter j whose image contains i."""
+        rows: list[dict[int, int]] = [{} for _ in self.images]
+        for j, img in enumerate(self.images):
             for i in img:
-                col[i] += 1
-            cols.append(col)
-        return ExactMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+                rows[i][j] = rows[i].get(j, 0) + 1
+        return ExactMatrix.from_nonzeros([tuple(row.items()) for row in rows])
 
     def image_lengths(self) -> tuple[int, ...]:
         return tuple(len(img) for img in self.images)
@@ -248,14 +247,10 @@ def factor_alphabet(s: Substitution, n: int, cap: int | None = None) -> FactorAl
     if n == 1:
         return FactorAlphabet(1, [(i,) for i in range(len(alphabet))], alphabet)
     lengths = [1] * len(alphabet)
-    m = s.incidence_matrix()
     k = 0
     while min(lengths) < n:
-        # |zeta^{k+1}(a_j)| = sum_i M_ij * |zeta^k(a_i)|
-        lengths = [
-            sum(m.entries[i][j] * lengths[i] for i in range(len(lengths)))
-            for j in range(len(lengths))
-        ]
+        # |zeta^{k+1}(a_j)| = sum of |zeta^k(a_i)| over the letters i of zeta(a_j)
+        lengths = [sum(lengths[i] for i in img) for img in s.images]
         k += 1
     seed_power = s.power(k) if k > 1 else (s if k == 1 else None)
     found: dict[Word, int] = {}

@@ -7,6 +7,7 @@ import pytest
 
 from subperron import (
     ExactMatrix,
+    MaxIterError,
     NotExpandingError,
     NotPBFrobeniusError,
     NotPrincipalError,
@@ -15,6 +16,7 @@ from subperron import (
     classify_limit_case,
     dominant_interior_contains,
     eigencone_membership,
+    frequency_table,
     growth_type,
     mat_pow_apply,
     normalized_limit,
@@ -196,6 +198,30 @@ class TestNormalizedLimit:
         assert not rep.converged
         assert rep.iterations == 100
         assert rep.diagnostic is not None
+
+    def test_budget_stop_reports_final_step_values(self, m8, aab_bb):
+        # the residual and eigen-estimate are computed lazily; a run that
+        # stops on budget must still report them for its final iterate
+        def measured(m, x):
+            y = float_matvec(m, x)
+            lam = sum(y)
+            return lam, l1_dist(y, [lam * c for c in x])
+
+        # tol 0 never asks for the residual before the end; at tol 2e-3
+        # the successive difference is within tol from t ~ 29 on, so the
+        # residual is computed at earlier steps too, and stays above tol
+        for tol in (0, 2e-3):
+            rep = normalized_limit(m8, e(8, 0), tol=tol, max_iter=50)
+            assert not rep.converged and rep.iterations == 50
+            assert (rep.eigenvalue, rep.residual) == measured(m8, rep.limit)
+
+        with pytest.raises(MaxIterError) as exc_info:
+            frequency_table(aab_bb, "a", max_len=3, tol=0, max_iter=50)
+        table = exc_info.value.partial
+        assert table.iterations == 50
+        m1 = aab_bb.power(table.power_used).incidence_matrix()
+        x1 = [table.entries[(i,)] for i in range(m1.n)]
+        assert table.growth_rate == measured(m1, x1)[0]
 
     def test_rejects_imprimitive(self, antidiag4):
         with pytest.raises(NotPBFrobeniusError):
