@@ -27,7 +27,6 @@ from .errors import (
 from .frequencies import frequency_table, kirchhoff_check, measure_cylinder
 from .matrices import (
     ExactMatrix,
-    is_expanding,
     load_matrix,
     pb_frobenius_power,
     primitive_frobenius_power,
@@ -41,7 +40,7 @@ from .spectral import (
     principal_blocks,
     principal_eigenvector,
 )
-from .words import blow_up, is_expanding_subst, load_substitution, stabilizing_power
+from .words import blow_up, is_expanding_subst, load_substitution
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -95,7 +94,7 @@ def _matrix_report(m: ExactMatrix, names: Sequence[str] | None = None) -> dict:
         })
     report = {
         "n": m.n,
-        "expanding": is_expanding(m),
+        "expanding": dec0.is_expanding(),
         "pb_frobenius_exponent": t_pb,
         "primitive_frobenius_exponent": t_pf,
         "scc_classes": [c.value for c in dec0.classes],
@@ -177,21 +176,20 @@ def cmd_analyze_matrix(args) -> int:
 def cmd_analyze_subst(args) -> int:
     s = load_substitution(args.file)
     if not is_expanding_subst(s):
-        print("error: substitution is not expanding", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    power = stabilizing_power(s)
-    m = s.incidence_matrix()
+        raise NotExpandingError("substitution is not expanding")
+    incidence = _matrix_report(s.incidence_matrix(), names=s.alphabet.letters)
+    # the stabilizing power is the incidence matrix's PB-Frobenius exponent
+    power = incidence["pb_frobenius_exponent"]
     report = {
         "input": str(args.file),
         "letters": list(s.alphabet.letters),
         "rules": {ltr: s.alphabet.decode(img)
                   for ltr, img in zip(s.alphabet.letters, s.images)},
         "stabilizing_power": power,
-        "incidence": _matrix_report(m, names=s.alphabet.letters),
+        "incidence": incidence,
     }
     if args.blowup is not None:
-        zs = s.power(power) if power > 1 else s
-        zn, fa = blow_up(zs, args.blowup)
+        zn, fa = blow_up(s.power(power), args.blowup)
         mn = zn.incidence_matrix()
         dec_n = scc_blocks(mn)
         report["blowup"] = {
@@ -201,7 +199,7 @@ def cmd_analyze_subst(args) -> int:
             "pb_frobenius": dec_n.is_pb_frobenius(),
             "primitive": dec_n.num_blocks == 1
             and dec_n.classes[0].value == "primitive",
-            "expanding": is_expanding(mn),
+            "expanding": dec_n.is_expanding(),
         }
     if args.json:
         print(json.dumps(report, indent=2))
@@ -221,9 +219,6 @@ def cmd_analyze_subst(args) -> int:
 
 def cmd_freq(args) -> int:
     s = load_substitution(args.file)
-    if not is_expanding_subst(s):
-        print("error: substitution is not expanding", file=sys.stderr)
-        return EXIT_HYPOTHESIS
     table = frequency_table(s, args.letter, max_len=args.max_len,
                             tol=args.tol, max_iter=args.max_iter)
     kirchhoff = kirchhoff_check(table) if args.max_len >= 2 else None
@@ -239,9 +234,6 @@ def cmd_freq(args) -> int:
 
 def cmd_measure(args) -> int:
     s = load_substitution(args.file)
-    if not is_expanding_subst(s):
-        print("error: substitution is not expanding", file=sys.stderr)
-        return EXIT_HYPOTHESIS
     value = measure_cylinder(s, args.letter, args.word,
                              tol=args.tol, max_iter=args.max_iter)
     print(f"{value:#.12g}")

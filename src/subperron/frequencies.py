@@ -1,5 +1,5 @@
-"""Limit frequencies of letters and factors, weight functions, and
-invariant-measure queries for expanding substitutions.
+"""Limit frequencies of letters and factors, and invariant-measure queries
+for expanding substitutions.
 
 The factor route goes through the level-n blow-up: the substitution is
 raised to its stabilizing power (so the incidence matrix is PB-Frobenius,
@@ -7,35 +7,30 @@ and by the blow-up stability result so is the blow-up's incidence matrix),
 and the normalized-iterate limit started at a length-n seed word beginning
 with the base letter reads off all length-n frequencies at once.
 
-A full table across several lengths is built in lockstep: all lengths are
-iterated to a common step count.  The exact iterates at a common step t are
-occurrence counts of the same finite word (up to window edge effects), so
-the Kirchhoff conditions hold between consecutive lengths up to O(1/|word|)
-even before the limits have converged; stopping the lengths at different
-times would instead leave O(tol) mismatches for slowly converging
-reducible substitutions.
+A full table up to length N runs that limit once, at level N, and gives
+each shorter word the sum over the length-N words it is a prefix of.  The
+right Kirchhoff condition ``f_w = sum_b f_wb`` then holds by construction;
+the left one, ``f_w = sum_b f_bw`` (shift invariance), is a property of the
+limit that ``kirchhoff_check`` tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    MaxIterError,
-    NoSeedWordError,
-    NotExpandingError,
-    NotPBFrobeniusError,
-    ParseError,
+from .errors import MaxIterError, NoSeedWordError, ParseError
+from .spectral import (
+    DEFAULT_MAX_ITER,
+    ConvergenceReport,
+    float_matvec,
+    normalized_limit,
 )
-from .matrices import scc_blocks
-from .spectral import DEFAULT_MAX_ITER, _Trajectory, normalized_limit
 from .words import (
     FactorAlphabet,
     Substitution,
     Word,
     blow_up,
     factor_alphabet,
-    is_expanding_subst,
     stabilizing_power,
 )
 
@@ -96,16 +91,6 @@ class FrequencyTable:
         }
 
 
-class WeightFunction:
-    """View of a FrequencyTable as a weight function on words."""
-
-    def __init__(self, table: FrequencyTable):
-        self.table = table
-
-    def __call__(self, word) -> float:
-        return self.table.omega(word)
-
-
 @dataclass(frozen=True)
 class KirchhoffReport:
     """Maximum violation of the Kirchhoff conditions over all testable
@@ -120,6 +105,40 @@ class KirchhoffReport:
         return self.max_residual <= self.tol
 
 
+def _level_limit(zs: Substitution, a: int, n: int, tol: float,
+                 max_iter: int, fa: FactorAlphabet | None = None,
+                 ) -> tuple[tuple[Word, ...], ConvergenceReport]:
+    """The normalized limit of level ``n``, started at letter ``a``: on the
+    incidence matrix of ``zs`` (the stabilizing power of the substitution)
+    at level 1, and of its level-n blow-up from a seed word beginning with
+    ``a`` at level n >= 2.  Returns the level's words, in the order of the
+    limit's coordinates, and the convergence report; ``fa`` is
+    ``factor_alphabet(zs, n)`` if already built."""
+    if n == 1:
+        m = zs.incidence_matrix()
+        words = tuple((i,) for i in range(m.n))
+        start = a
+    else:
+        zn, fa = blow_up(zs, n, fa)
+        m = zn.incidence_matrix()
+        words = fa.words
+        start = fa.index[_seed_word(fa, a)]
+    v0 = [0] * m.n
+    v0[start] = 1
+    return words, normalized_limit(m, v0, tol=tol, max_iter=max_iter)
+
+
+def _settled_limit(s: Substitution, a: int, n: int,
+                   report: ConvergenceReport) -> tuple[float, ...]:
+    """The limit of a converged level-n report; raise otherwise."""
+    if not report.converged:
+        what = "letter" if n == 1 else f"length-{n}"
+        raise MaxIterError(
+            f"{what} frequencies for base {s.alphabet.letters[a]!r} did not "
+            f"settle: {report.diagnostic}", partial=report)
+    return report.limit
+
+
 def letter_frequencies(s: Substitution, a, tol: float = DEFAULT_FREQ_TOL,
                        max_iter: int = DEFAULT_MAX_ITER):
     """Limit frequencies of every letter inside ``zeta**t(a)``.
@@ -129,17 +148,8 @@ def letter_frequencies(s: Substitution, a, tol: float = DEFAULT_FREQ_TOL,
     the substitution raised to its stabilizing power.
     """
     a = _letter_index(s, a)
-    power = stabilizing_power(s)
-    zs = s.power(power) if power > 1 else s
-    m = zs.incidence_matrix()
-    v0 = [0] * m.n
-    v0[a] = 1
-    report = normalized_limit(m, v0, tol=tol, max_iter=max_iter)
-    if not report.converged:
-        raise MaxIterError(
-            f"letter frequencies for base {s.alphabet.letters[a]!r} did not "
-            f"settle: {report.diagnostic}", partial=report)
-    return report.limit, report
+    _, report = _level_limit(s.power(stabilizing_power(s)), a, 1, tol, max_iter)
+    return _settled_limit(s, a, 1, report), report
 
 
 def growth_rate(s: Substitution, a, tol: float = DEFAULT_FREQ_TOL,
@@ -168,88 +178,48 @@ def factor_frequencies(s: Substitution, a, n: int,
     if n < 2:
         raise ValueError("use letter_frequencies for length 1")
     a = _letter_index(s, a)
-    power = stabilizing_power(s)
-    zs = s.power(power) if power > 1 else s
-    return _blow_up_limit(s, zs, a, n, tol, max_iter)
-
-
-def _blow_up_limit(s: Substitution, zs: Substitution, a: int, n: int,
-                   tol: float, max_iter: int,
-                   fa: FactorAlphabet | None = None) -> dict[Word, float]:
-    """``factor_frequencies`` once ``zs``, the stabilizing power of ``s``,
-    is known; ``fa`` is ``factor_alphabet(zs, n)`` if already built."""
-    zn, fa = blow_up(zs, n, fa)
-    mn = zn.incidence_matrix()
-    if not scc_blocks(mn).is_pb_frobenius():
-        raise NotPBFrobeniusError(
-            "blow-up incidence matrix is not PB-Frobenius; this contradicts "
-            "the blow-up stability property and indicates a bug"
-        )
-    seed = _seed_word(fa, a)
-    v0 = [0] * mn.n
-    v0[fa.index[seed]] = 1
-    report = normalized_limit(mn, v0, tol=tol, max_iter=max_iter)
-    if not report.converged:
-        raise MaxIterError(
-            f"length-{n} frequencies for base {s.alphabet.letters[a]!r} did "
-            f"not settle: {report.diagnostic}", partial=report)
-    return {fa.words[k]: x for k, x in enumerate(report.limit)}
+    words, report = _level_limit(s.power(stabilizing_power(s)), a, n, tol,
+                                 max_iter)
+    return dict(zip(words, _settled_limit(s, a, n, report)))
 
 
 def frequency_table(s: Substitution, a, max_len: int,
                     tol: float = DEFAULT_FREQ_TOL,
                     max_iter: int = DEFAULT_MAX_ITER) -> FrequencyTable:
-    """Build the full frequency table for lengths 1..max_len in lockstep.
+    """Build the full frequency table for lengths 1..max_len from the
+    limit of level ``max_len`` alone.
 
-    All lengths are advanced to the same iteration count (the largest any
-    single length needs), which keeps the cross-length Kirchhoff residuals
-    at the exact-counting level instead of the convergence tolerance.
+    A shorter word's entry is the sum of that limit over the length-max_len
+    words it is a prefix of (the right Kirchhoff condition), so it is
+    exactly zero when no such word exists.  The table holds every letter
+    and every factor of each length 2..max_len.  ``growth_rate`` is the
+    eigen-estimate ``||M x||_1`` of the letter marginal ``x``.
     """
+    # a non-expanding input is reported before any argument error
+    power = stabilizing_power(s)
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     a = _letter_index(s, a)
-    power = stabilizing_power(s)
-    zs = s.power(power) if power > 1 else s
-
-    lanes: list[tuple[int, FactorAlphabet | None, _Trajectory]] = []
+    zs = s.power(power)
+    words, report = _level_limit(zs, a, max_len, tol, max_iter)
+    # the factors of each shorter length are built on their own, not read
+    # off the level-max_len words: a factor need not lie inside any longer one
+    entries: dict[Word, float] = {(i,): 0.0 for i in range(len(s.alphabet))}
+    for n in range(2, max_len):
+        entries.update(dict.fromkeys(factor_alphabet(zs, n).words, 0.0))
+    entries.update(zip(words, report.limit))
+    for w, f in zip(words, report.limit):
+        for n in range(1, max_len):
+            entries[w[:n]] += f
     m1 = zs.incidence_matrix()
-    v0 = [0] * m1.n
-    v0[a] = 1
-    lanes.append((1, None, _Trajectory(m1, v0)))
-    for n in range(2, max_len + 1):
-        zn, fa = blow_up(zs, n)
-        mn = zn.incidence_matrix()
-        if not scc_blocks(mn).is_pb_frobenius():
-            raise NotPBFrobeniusError(
-                f"level-{n} blow-up incidence matrix is not PB-Frobenius"
-            )
-        seed = _seed_word(fa, a)
-        vn = [0] * mn.n
-        vn[fa.index[seed]] = 1
-        lanes.append((n, fa, _Trajectory(mn, vn)))
-
-    settled_all = False
-    for _ in range(max_iter):
-        for _, _, traj in lanes:
-            traj.step()
-        if all(traj.settled(tol) for _, _, traj in lanes):
-            settled_all = True
-            break
-    entries: dict[Word, float] = {}
-    for n, fa, traj in lanes:
-        if n == 1:
-            for i, x in enumerate(traj.x):
-                entries[(i,)] = x
-        else:
-            for k, x in enumerate(traj.x):
-                entries[fa.words[k]] = x
-    base_traj = lanes[0][2]
+    x1 = [entries[(i,)] for i in range(m1.n)]
     table = FrequencyTable(
         substitution=s, base_letter=s.alphabet.letters[a], power_used=power,
-        max_len=max_len, entries=entries, growth_rate=base_traj.lam_hat,
-        iterations=base_traj.t,
+        max_len=max_len, entries=entries,
+        growth_rate=sum(float_matvec(m1, x1)),
+        iterations=report.iterations,
     )
-    if not settled_all:
+    if not report.converged:
         raise MaxIterError(
             f"frequency table did not settle within {max_iter} iterations",
             partial=table)
@@ -258,7 +228,10 @@ def frequency_table(s: Substitution, a, max_len: int,
 
 def kirchhoff_check(table: FrequencyTable, tol: float = 1e-6) -> KirchhoffReport:
     """Largest violation of ``omega(w) = sum_a omega(a w) = sum_a omega(w a)``
-    over all table words shorter than ``max_len``."""
+    over all table words shorter than ``max_len``.  A table built by
+    ``frequency_table`` meets the right extension ``sum_a omega(w a)`` by
+    construction (up to float rounding), so on such a table this tests the
+    left extension: the shift invariance of the limit."""
     n_letters = len(table.substitution.alphabet)
     worst = 0.0
     worst_word = ""
@@ -280,10 +253,8 @@ def measure_cylinder(s: Substitution, a, word,
     """The invariant-measure value mu_a(Cyl_w): the limit frequency of the
     word ``w`` in ``zeta**t(a)``.  Exactly zero for words outside the
     language; the per-length values form a probability assignment."""
-    if not is_expanding_subst(s):
-        # the gates inside the frequency routes would catch this too, but
-        # the zero shortcut below must not mask a non-expanding input
-        raise NotExpandingError("substitution is not expanding")
+    # first, so that the zero shortcut below cannot mask a non-expanding input
+    zs = s.power(stabilizing_power(s))
     a = _letter_index(s, a)
     if isinstance(word, str):
         word = s.alphabet.encode(word)
@@ -293,12 +264,9 @@ def measure_cylinder(s: Substitution, a, word,
     for i in word:
         if not 0 <= i < len(s.alphabet):
             raise ParseError(f"letter index {i} out of range")
-    if len(word) == 1:
-        vec, _ = letter_frequencies(s, a, tol=tol, max_iter=max_iter)
-        return vec[word[0]]
-    power = stabilizing_power(s)
-    zs = s.power(power) if power > 1 else s
-    fa = factor_alphabet(zs, len(word))
-    if word not in fa:
+    n = len(word)
+    fa = factor_alphabet(zs, n) if n > 1 else None
+    if fa is not None and word not in fa:
         return 0.0
-    return _blow_up_limit(s, zs, a, len(word), tol, max_iter, fa)[word]
+    words, report = _level_limit(zs, a, n, tol, max_iter, fa)
+    return _settled_limit(s, a, n, report)[words.index(word)]

@@ -178,6 +178,11 @@ def parse_matrix(text: str) -> ExactMatrix:
             raise ParseError(f"invalid JSON matrix: {exc}") from exc
         if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
             raise ParseError("JSON matrix must be a 2D array")
+        for row in data:
+            for x in row:
+                # bool is an int subclass; int() would also truncate floats
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise ParseError(f"JSON matrix entry {x!r} is not an integer")
         rows = data
     else:
         rows = []
@@ -227,22 +232,29 @@ class BlockDecomposition:
     """Ordered block partition of a matrix, lower block triangular.
 
     ``perm[p]`` is the original index placed at permuted position ``p``;
-    ``spans`` are ``(start, stop)`` ranges in permuted positions; ``order``
-    holds pairs ``(i, j)`` meaning block ``i`` strictly precedes block ``j``
-    in the flow order (mass started in block ``i`` eventually reaches block
-    ``j``); ``dependency[i]`` is the set of all such ``j``.
+    ``spans`` are ``(start, stop)`` ranges in permuted positions;
+    ``dependency[i]`` is the set of blocks ``j`` that block ``i`` strictly
+    precedes in the flow order (mass started in block ``i`` eventually
+    reaches block ``j``); ``block_index[v]`` is the block holding original
+    index ``v``.
     """
 
     n: int
     perm: tuple[int, ...]
     spans: tuple[tuple[int, int], ...]
     classes: tuple[BlockClass, ...]
-    order: frozenset[tuple[int, int]]
     dependency: tuple[frozenset[int], ...]
+    block_index: tuple[int, ...]
 
     @property
     def num_blocks(self) -> int:
         return len(self.spans)
+
+    @property
+    def order(self) -> frozenset[tuple[int, int]]:
+        """The pairs ``(i, j)`` with ``j`` in ``dependency[i]``."""
+        return frozenset(
+            (i, j) for i, deps in enumerate(self.dependency) for j in deps)
 
     def members(self, i: int) -> tuple[int, ...]:
         """Original indices belonging to block ``i``."""
@@ -250,10 +262,7 @@ class BlockDecomposition:
         return self.perm[start:stop]
 
     def block_of(self, original_index: int) -> int:
-        for i in range(self.num_blocks):
-            if original_index in self.members(i):
-                return i
-        raise IndexError(original_index)
+        return self.block_index[original_index]
 
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(stop - start for start, stop in self.spans)
@@ -267,6 +276,16 @@ class BlockDecomposition:
         """Every diagonal block primitive, or 1x1 with entry 0 or 1."""
         return all(
             c in (BlockClass.PRIMITIVE, BlockClass.ZERO_ONE) for c in self.classes
+        )
+
+    def is_expanding(self) -> bool:
+        """Every block grows (primitive or imprimitive) or depends on one
+        that does; see ``is_expanding``."""
+        grows = [c in (BlockClass.PRIMITIVE, BlockClass.IMPRIMITIVE)
+                 for c in self.classes]
+        return all(
+            grows[i] or any(grows[j] for j in self.dependency[i])
+            for i in range(self.num_blocks)
         )
 
     def permuted(self, m: ExactMatrix) -> ExactMatrix:
@@ -393,14 +412,12 @@ def _classify_scc(m: ExactMatrix, adj: list[list[int]],
     return BlockClass.IMPRIMITIVE
 
 
-def _block_dag_edges(m: ExactMatrix, blocks: list[list[int]]) -> list[set[int]]:
-    """One-step flow edges between blocks: edge a -> b when some entry
-    (i in b, j in a) of m is positive, a != b."""
-    block_of = {}
-    for k, comp in enumerate(blocks):
-        for v in comp:
-            block_of[v] = k
-    out: list[set[int]] = [set() for _ in blocks]
+def _block_dag_edges(m: ExactMatrix, block_of: Sequence[int],
+                     k: int) -> list[set[int]]:
+    """One-step flow edges between the ``k`` blocks, index ``v`` lying in
+    block ``block_of[v]``: edge a -> b when some entry (i in b, j in a) of
+    m is positive, a != b."""
+    out: list[set[int]] = [set() for _ in range(k)]
     for i, row in enumerate(m.rows):
         b = block_of[i]
         for j, _ in row:
@@ -450,7 +467,11 @@ def _order_blocks(blocks: list[list[int]], out: list[set[int]]) -> list[int]:
 
 def _build_decomposition(m: ExactMatrix, blocks: list[list[int]],
                          classes: list[BlockClass]) -> BlockDecomposition:
-    out = _block_dag_edges(m, blocks)
+    block_of = [0] * m.n
+    for k, comp in enumerate(blocks):
+        for v in comp:
+            block_of[v] = k
+    out = _block_dag_edges(m, block_of, len(blocks))
     position_of = _order_blocks(blocks, out)
     if len(position_of) != len(blocks):
         raise ValueError("block graph is not acyclic")
@@ -466,16 +487,13 @@ def _build_decomposition(m: ExactMatrix, blocks: list[list[int]],
     for comp in ordered:
         spans.append((len(perm), len(perm) + len(comp)))
         perm.extend(comp)
-    order = frozenset(
-        (a, b) for a in range(len(ordered)) for b in reach[a]
-    )
     return BlockDecomposition(
         n=m.n,
         perm=tuple(perm),
         spans=tuple(spans),
         classes=tuple(ordered_classes),
-        order=order,
         dependency=tuple(frozenset(reach[a]) for a in range(len(ordered))),
+        block_index=tuple(new_index[b] for b in block_of),
     )
 
 
@@ -500,11 +518,8 @@ def is_primitive(m: ExactMatrix) -> bool:
     positive)."""
     if m.n == 1:
         return m.entry(0, 0) > 0
-    adj = _successors(m)
-    sccs = _tarjan_sccs(adj)
-    if len(sccs) != 1:
-        return False
-    return len(_cyclic_classes(adj, sccs[0])) == 1
+    dec = scc_blocks(m)
+    return dec.num_blocks == 1 and dec.classes[0] is BlockClass.PRIMITIVE
 
 
 def is_power_bounded(m: ExactMatrix) -> bool:
@@ -525,7 +540,8 @@ def is_power_bounded(m: ExactMatrix) -> bool:
             or (len(members) == 1 and m.entry(members[0], members[0]) == 1)
         )
     return not any(
-        rho_one[a] and rho_one[b] for (a, b) in dec.order
+        rho_one[a] and rho_one[b]
+        for a in range(dec.num_blocks) for b in dec.dependency[a]
     )
 
 
@@ -533,12 +549,7 @@ def is_expanding(m: ExactMatrix) -> bool:
     """True iff no coordinate vector is mapped by a positive power of ``m``
     to itself or to zero; equivalently every coordinate reaches, in the
     condensation, an SCC with spectral radius > 1."""
-    dec = scc_blocks(m)
-    grows = [c in (BlockClass.PRIMITIVE, BlockClass.IMPRIMITIVE) for c in dec.classes]
-    return all(
-        grows[i] or any(grows[j] for j in dec.dependency[i])
-        for i in range(dec.num_blocks)
-    )
+    return scc_blocks(m).is_expanding()
 
 
 def _frobenius_power(m: ExactMatrix, split_cyclic: bool) -> tuple[int, BlockDecomposition]:

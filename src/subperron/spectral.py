@@ -231,10 +231,8 @@ def block_eigenvalues(m: ExactMatrix, dec: BlockDecomposition) -> tuple[float, .
     entry of 1x1 zero/one blocks, and 1 for cyclic power-bounded blocks."""
     out = []
     for i, cls in enumerate(dec.classes):
-        if cls is BlockClass.PRIMITIVE:
+        if cls in (BlockClass.PRIMITIVE, BlockClass.ZERO_ONE):
             out.append(pf_eigen_block(m, dec, i)[0])
-        elif cls is BlockClass.ZERO_ONE:
-            out.append(float(m.entry(dec.members(i)[0], dec.members(i)[0])))
         elif cls is BlockClass.POWER_BOUNDED:
             out.append(1.0)
         else:
@@ -245,13 +243,13 @@ def block_eigenvalues(m: ExactMatrix, dec: BlockDecomposition) -> tuple[float, .
 
 
 def _longest_chain(dec: BlockDecomposition, candidates: set[int]) -> int:
-    """Longest chain b_k > b_{k-1} > ... > b_1 inside ``candidates`` (block
-    order pairs), by DP in topological index order."""
+    """Longest chain b_k > b_{k-1} > ... > b_1 inside ``candidates`` (each
+    block depending on the next), by DP in topological index order."""
     if not candidates:
         return 0
     length = {b: 1 for b in candidates}
     for b in sorted(candidates):
-        preds = [a for a in candidates if (a, b) in dec.order]
+        preds = [a for a in candidates if b in dec.dependency[a]]
         if preds:
             length[b] = 1 + max(length[a] for a in preds)
     return max(length.values())
@@ -304,28 +302,18 @@ def dominant_interior_contains(dec: BlockDecomposition,
     for idx, val in enumerate(v):
         if val != 0.0 and idx not in cone_indices:
             raise ValueError("support of v must lie inside the cone")
-    lam = max((eigenvalues[b] for b in cone_blocks), default=0.0)
-    if lam <= 0.0:
+    growth = _growth_of(dec, eigenvalues, cone_blocks)
+    if growth.lam <= 0.0:
         return False
-    maximal = {b for b in cone_blocks if _close(eigenvalues[b], lam)}
-    full = _longest_chain(dec, maximal)
+    maximal = {b for b in cone_blocks if _close(eigenvalues[b], growth.lam)}
     positive = {
         b for b in maximal if all(v[idx] > 0.0 for idx in dec.members(b))
     }
-    return full >= 1 and _longest_chain(dec, positive) == full
+    return _longest_chain(dec, positive) == growth.degree + 1
 
 
 # ---------------------------------------------------------------------------
 # the convergence engine for expanding PB-Frobenius matrices
-
-def _expanding_from_dec(dec: BlockDecomposition) -> bool:
-    grows = [c in (BlockClass.PRIMITIVE, BlockClass.IMPRIMITIVE)
-             for c in dec.classes]
-    return all(
-        grows[i] or any(grows[j] for j in dec.dependency[i])
-        for i in range(dec.num_blocks)
-    )
-
 
 def trajectory_growth(dec: BlockDecomposition, eigenvalues: Sequence[float],
                       support: Sequence[int]) -> GrowthType:
@@ -361,7 +349,7 @@ def normalized_limit(m: ExactMatrix, v0: Sequence[int],
         raise NotPBFrobeniusError(
             "matrix has an imprimitive diagonal block; apply pb_frobenius_power"
         )
-    if not _expanding_from_dec(dec):
+    if not dec.is_expanding():
         raise NotExpandingError("matrix is not expanding")
     v0 = tuple(int(c) for c in v0)
     if len(v0) != m.n:
@@ -415,19 +403,13 @@ def _check_no_zero_columns(dec: BlockDecomposition,
 
 def principal_blocks(dec: BlockDecomposition,
                      eigenvalues: Sequence[float]) -> set[int]:
-    """Blocks whose eigenvalue strictly dominates every block they feed."""
+    """Blocks whose eigenvalue strictly dominates every block they feed
+    (limit case 1)."""
     if not dec.is_pb_frobenius():
         raise NotPBFrobeniusError("apply pb_frobenius_power first")
     _check_no_zero_columns(dec, eigenvalues)
-    out = set()
-    for i in range(dec.num_blocks):
-        lam = eigenvalues[i]
-        if all(
-            eigenvalues[j] < lam and not _close(eigenvalues[j], lam)
-            for j in dec.dependency[i]
-        ):
-            out.add(i)
-    return out
+    return {i for i in range(dec.num_blocks)
+            if classify_limit_case(dec, eigenvalues, i) == 1}
 
 
 def principal_eigenvector(m: ExactMatrix, dec: BlockDecomposition,
@@ -514,7 +496,7 @@ def power_eigenvector_lift(m0: ExactMatrix, k: int, v: Sequence[float],
     dec = scc_blocks(m0)
     if not dec.is_pb_frobenius():
         raise NotPBFrobeniusError("m0 must be in PB-Frobenius form")
-    if not _expanding_from_dec(dec):
+    if not dec.is_expanding():
         raise NotExpandingError("m0 must be expanding")
     norm = l1_norm(v)
     if norm == 0.0 or any(x < -tol for x in v):

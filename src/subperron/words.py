@@ -159,13 +159,6 @@ class Substitution:
                 rows[i][j] = rows[i].get(j, 0) + 1
         return ExactMatrix.from_nonzeros([tuple(row.items()) for row in rows])
 
-    def image_lengths(self) -> tuple[int, ...]:
-        return tuple(len(img) for img in self.images)
-
-
-def substitution_power(s: Substitution, t: int) -> Substitution:
-    return s.power(t)
-
 
 def is_expanding_subst(s: Substitution) -> bool:
     """A substitution is expanding iff its incidence matrix is."""
@@ -220,9 +213,6 @@ class FactorAlphabet:
     def __contains__(self, word) -> bool:
         return tuple(word) in self.index
 
-    def decode(self, k: int) -> str:
-        return self.alphabet.decode(self.words[k])
-
 
 def _sliding_factors(word: Word, n: int) -> list[Word]:
     return [word[p:p + n] for p in range(len(word) - n + 1)]
@@ -252,7 +242,7 @@ def factor_alphabet(s: Substitution, n: int, cap: int | None = None) -> FactorAl
         # |zeta^{k+1}(a_j)| = sum of |zeta^k(a_i)| over the letters i of zeta(a_j)
         lengths = [sum(lengths[i] for i in img) for img in s.images]
         k += 1
-    seed_power = s.power(k) if k > 1 else (s if k == 1 else None)
+    seed_power = s.power(k)
     found: dict[Word, int] = {}
     queue: list[Word] = []
 
@@ -264,8 +254,7 @@ def factor_alphabet(s: Substitution, n: int, cap: int | None = None) -> FactorAl
             queue.append(word)
 
     for letter in range(len(alphabet)):
-        image = seed_power.images[letter] if seed_power else (letter,)
-        for factor in _sliding_factors(image, n):
+        for factor in _sliding_factors(seed_power.images[letter], n):
             discover(factor)
     head = 0
     while head < len(queue):

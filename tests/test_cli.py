@@ -71,6 +71,14 @@ class TestAnalyzeMatrix:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("text", [
+        "[[1.5, 0], [0, 2]]", "[[true, 1], [0, 2]]", "[[1e300, 0], [0, 1]]"])
+    def test_json_non_integer_entry(self, capsys, workdir, text):
+        (workdir / "bad.json").write_text(text)
+        code, out, err = run(capsys, "analyze-matrix", workdir / "bad.json")
+        assert (code, out) == (2, "")
+        assert "not an integer" in err
+
     def test_missing_file(self, capsys, workdir):
         code, _, _ = run(capsys, "analyze-matrix", workdir / "nope.txt")
         assert code == 2

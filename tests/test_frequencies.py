@@ -9,9 +9,9 @@ from subperron import (
     NotExpandingError,
     ParseError,
     Substitution,
-    WeightFunction,
     blow_up,
     count_occurrences_str,
+    factor_alphabet,
     factor_frequencies,
     frequency_table,
     growth_rate,
@@ -187,11 +187,50 @@ class TestFrequencyTable:
             growth_rate=tab.growth_rate, iterations=tab.iterations)
         assert kirchhoff_check(bad).max_residual >= 0.09
 
-    def test_weight_function_view(self, fib):
-        tab = frequency_table(fib, "a", max_len=2)
-        omega = WeightFunction(tab)
-        assert omega("ab") == tab.omega("ab")
-        assert omega("bb") == 0.0
+    def test_keys_are_letters_and_factors_of_each_length(self, corpus):
+        # b occurs in no image, so cc is a factor of length 2 that lies
+        # inside no factor of length 6: it keeps its key, with weight zero
+        cc = Substitution.from_rules([("a", "ca"), ("b", "cc"), ("c", "aa")])
+        cases = [(cc, "a", 6)]
+        cases += [(s, s.alphabet.letters[-1], 4) for s in corpus.values()]
+        for s, base, max_len in cases:
+            zs = s.power(stabilizing_power(s))
+            tab = frequency_table(s, base, max_len=max_len, tol=1e-6)
+            expected = {(i,) for i in range(len(s.alphabet))}
+            for n in range(2, max_len + 1):
+                expected |= set(factor_alphabet(zs, n).words)
+            assert set(tab.entries) == expected, s
+            if s is cc:
+                assert tab.entries[cc.alphabet.encode("cc")] == 0.0
+
+    def test_right_extension_exact(self, corpus):
+        for s in corpus.values():
+            tab = frequency_table(s, s.alphabet.letters[-1], max_len=5,
+                                  tol=1e-6)
+            letters = range(len(s.alphabet))
+            for w, f in tab.entries.items():
+                if len(w) < 5:
+                    right = sum(tab.omega(w + (b,)) for b in letters)
+                    assert abs(f - right) <= 1e-15, (s, w)
+
+    def test_entries_match_single_length_routes(self, corpus):
+        # geometric convergence everywhere but aab_bb (rate 1/t from a);
+        # b_over_a has no factor of length >= 2 starting with b
+        for name, s in corpus.items():
+            if name == "aab_bb":
+                continue
+            for a in s.alphabet.letters:
+                if name == "b_over_a" and a == "b":
+                    continue
+                tab = frequency_table(s, a, max_len=4, tol=1e-10)
+                vec, _ = letter_frequencies(s, a, tol=1e-10)
+                for i, x in enumerate(vec):
+                    assert abs(tab.entries[(i,)] - x) <= 1e-9, (name, a)
+                for n in (2, 3, 4):
+                    freqs = factor_frequencies(s, a, n, tol=1e-10)
+                    assert set(freqs) == set(tab.words_of_length(n))
+                    for w, x in freqs.items():
+                        assert abs(tab.entries[w] - x) <= 1e-9, (name, a, w)
 
     def test_json_export_keys(self, fib):
         tab = frequency_table(fib, "a", max_len=2)

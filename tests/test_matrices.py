@@ -90,6 +90,9 @@ class TestParsing:
 
     @pytest.mark.parametrize("text", [
         "", "1 2\n3", "1 x\n0 1", "[[1, -2], [0, 1]]", '{"a": 1}',
+        # JSON entries must be integers: no truncated floats, no booleans
+        "[[1.5, 0], [0, 2]]", "[[2.0, 0], [0, 2]]", "[[true, 1], [0, 2]]",
+        "[[1e300, 0], [0, 1]]", '[["1", 0], [0, 1]]', "[[null]]",
     ])
     def test_rejects_bad_input(self, text):
         with pytest.raises(ParseError):
@@ -231,6 +234,7 @@ class TestSccBlocks:
             for b, (start, stop) in enumerate(dec.spans):
                 for p in range(start, stop):
                     block_at[p] = b
+            assert [dec.block_of(v) for v in dec.perm] == block_at
             for p in range(n):
                 for q in range(n):
                     if perm_m.entries[p][q] > 0:

@@ -21,7 +21,6 @@ from subperron import (
     parse_substitution,
     scc_blocks,
     stabilizing_power,
-    substitution_power,
 )
 
 
@@ -105,7 +104,7 @@ class TestIncidence:
         for s in corpus.values():
             m = s.incidence_matrix()
             for t in range(1, 6):
-                assert substitution_power(s, t).incidence_matrix() == m.pow(t)
+                assert s.power(t).incidence_matrix() == m.pow(t)
 
     def test_occurrence_vector_equation(self, corpus):
         # M v(w) = v(zeta(w)) on random words
