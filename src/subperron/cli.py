@@ -25,14 +25,10 @@ from .errors import (
     ZeroColumnError,
 )
 from .frequencies import frequency_table, kirchhoff_check, measure_cylinder
-from .matrices import (
-    ExactMatrix,
-    load_matrix,
-    pb_frobenius_power,
-    primitive_frobenius_power,
-    scc_blocks,
-)
+from .matrices import ExactMatrix, _frobenius_power, load_matrix, scc_blocks
 from .spectral import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     ConvergenceReport,
     block_eigenvalues,
     growth_type,
@@ -40,7 +36,7 @@ from .spectral import (
     principal_blocks,
     principal_eigenvector,
 )
-from .words import blow_up, is_expanding_subst, load_substitution
+from .words import blow_up, load_substitution
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -74,9 +70,8 @@ def _matrix_report(m: ExactMatrix, names: Sequence[str] | None = None) -> dict:
     """Analysis pipeline: SCC blocks, Frobenius powers, eigenvalues, growth
     types, principal blocks and eigenvectors."""
     dec0 = scc_blocks(m)
-    t_pb, _ = pb_frobenius_power(m)
-    t_pf, dec = primitive_frobenius_power(m)
-    mt = m.pow(t_pf) if t_pf > 1 else m
+    t_pb = _frobenius_power(m, dec0, split_cyclic=False)[0]
+    t_pf, mt, dec = _frobenius_power(m, dec0, split_cyclic=True)
     eigenvalues = block_eigenvalues(mt, dec)
 
     def label(orig: int) -> object:
@@ -175,9 +170,9 @@ def cmd_analyze_matrix(args) -> int:
 
 def cmd_analyze_subst(args) -> int:
     s = load_substitution(args.file)
-    if not is_expanding_subst(s):
-        raise NotExpandingError("substitution is not expanding")
     incidence = _matrix_report(s.incidence_matrix(), names=s.alphabet.letters)
+    if not incidence["expanding"]:
+        raise NotExpandingError("substitution is not expanding")
     # the stabilizing power is the incidence matrix's PB-Frobenius exponent
     power = incidence["pb_frobenius_exponent"]
     report = {
@@ -257,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated start vector for the normalized limit")
     pm.add_argument("--require-expanding", action="store_true")
     pm.add_argument("--json", action="store_true")
-    pm.add_argument("--tol", type=float, default=1e-10)
-    pm.add_argument("--max-iter", type=int, default=20000)
+    pm.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    pm.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     pm.set_defaults(func=cmd_analyze_matrix)
 
     ps = sub.add_parser("analyze-subst", help="analysis of a substitution file")
@@ -272,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--letter", required=True)
     pf.add_argument("--max-len", type=int, default=2)
     pf.add_argument("--tol", type=float, default=1e-6)
-    pf.add_argument("--max-iter", type=int, default=20000)
+    pf.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     pf.set_defaults(func=cmd_freq)
 
     pq = sub.add_parser("measure", help="invariant-measure value of a cylinder")
@@ -280,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     pq.add_argument("--letter", required=True)
     pq.add_argument("--word", required=True)
     pq.add_argument("--tol", type=float, default=1e-6)
-    pq.add_argument("--max-iter", type=int, default=20000)
+    pq.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     pq.set_defaults(func=cmd_measure)
     return parser
 

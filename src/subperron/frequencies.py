@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .errors import MaxIterError, NoSeedWordError, ParseError
 from .spectral import (
     DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     ConvergenceReport,
     float_matvec,
     normalized_limit,
@@ -33,8 +34,6 @@ from .words import (
     factor_alphabet,
     stabilizing_power,
 )
-
-DEFAULT_FREQ_TOL = 1e-10
 
 
 def _letter_index(s: Substitution, a) -> int:
@@ -139,7 +138,7 @@ def _settled_limit(s: Substitution, a: int, n: int,
     return report.limit
 
 
-def letter_frequencies(s: Substitution, a, tol: float = DEFAULT_FREQ_TOL,
+def letter_frequencies(s: Substitution, a, tol: float = DEFAULT_TOL,
                        max_iter: int = DEFAULT_MAX_ITER):
     """Limit frequencies of every letter inside ``zeta**t(a)``.
 
@@ -152,7 +151,7 @@ def letter_frequencies(s: Substitution, a, tol: float = DEFAULT_FREQ_TOL,
     return _settled_limit(s, a, 1, report), report
 
 
-def growth_rate(s: Substitution, a, tol: float = DEFAULT_FREQ_TOL,
+def growth_rate(s: Substitution, a, tol: float = DEFAULT_TOL,
                 max_iter: int = DEFAULT_MAX_ITER) -> float:
     """The limit of |zeta**(t+1)(a)| / |zeta**t(a)| (the eigenvalue of the
     letter-frequency convergence report; exceeds one for expanding input)."""
@@ -170,7 +169,7 @@ def _seed_word(fa: FactorAlphabet, a: int) -> Word:
 
 
 def factor_frequencies(s: Substitution, a, n: int,
-                       tol: float = DEFAULT_FREQ_TOL,
+                       tol: float = DEFAULT_TOL,
                        max_iter: int = DEFAULT_MAX_ITER) -> dict[Word, float]:
     """Limit frequencies of all length-n factors inside ``zeta**t(a)``,
     via the blow-up eigenvector route.  Words not in the factor set do not
@@ -184,7 +183,7 @@ def factor_frequencies(s: Substitution, a, n: int,
 
 
 def frequency_table(s: Substitution, a, max_len: int,
-                    tol: float = DEFAULT_FREQ_TOL,
+                    tol: float = DEFAULT_TOL,
                     max_iter: int = DEFAULT_MAX_ITER) -> FrequencyTable:
     """Build the full frequency table for lengths 1..max_len from the
     limit of level ``max_len`` alone.
@@ -248,7 +247,7 @@ def kirchhoff_check(table: FrequencyTable, tol: float = 1e-6) -> KirchhoffReport
 
 
 def measure_cylinder(s: Substitution, a, word,
-                     tol: float = DEFAULT_FREQ_TOL,
+                     tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER) -> float:
     """The invariant-measure value mu_a(Cyl_w): the limit frequency of the
     word ``w`` in ``zeta**t(a)``.  Exactly zero for words outside the

@@ -552,42 +552,43 @@ def is_expanding(m: ExactMatrix) -> bool:
     return scc_blocks(m).is_expanding()
 
 
-def _frobenius_power(m: ExactMatrix, split_cyclic: bool) -> tuple[int, BlockDecomposition]:
-    dec = scc_blocks(m)
+def _frobenius_power(m: ExactMatrix, dec: BlockDecomposition, split_cyclic: bool,
+                     ) -> tuple[int, ExactMatrix, BlockDecomposition]:
+    """``(t, m**t, dec_t)``: the least power ``t`` at which every
+    imprimitive block of ``dec = scc_blocks(m)`` (with ``split_cyclic``,
+    also every cyclic permutation block) splits into its cyclic classes,
+    and the decomposition of ``m**t`` into those classes and the other
+    blocks.  ``(1, m, dec)`` when no block splits."""
     adj = _successors(m)
-    parts = {i: _cyclic_classes(adj, dec.members(i))
-             for i, cls in enumerate(dec.classes) if cls is BlockClass.IMPRIMITIVE}
     exponent = 1
-    for i, cls in enumerate(dec.classes):
-        if cls is BlockClass.IMPRIMITIVE:
-            exponent = math.lcm(exponent, len(parts[i]))
-        elif split_cyclic and cls is BlockClass.POWER_BOUNDED:
-            exponent = math.lcm(exponent, len(dec.members(i)))
-    mt = m.pow(exponent)
     blocks: list[list[int]] = []
     classes: list[BlockClass] = []
     for i, cls in enumerate(dec.classes):
         members = dec.members(i)
         if cls is BlockClass.IMPRIMITIVE:
-            for part in parts[i]:
-                blocks.append(part)
-                classes.append(BlockClass.PRIMITIVE)
+            parts = _cyclic_classes(adj, members)
+            classes += [BlockClass.PRIMITIVE] * len(parts)
         elif split_cyclic and cls is BlockClass.POWER_BOUNDED:
             # cyclic permutation block: the power fixes every vertex
-            for v in sorted(members):
-                blocks.append([v])
-                classes.append(BlockClass.ZERO_ONE)
+            parts = [[v] for v in sorted(members)]
+            classes += [BlockClass.ZERO_ONE] * len(parts)
         else:
-            blocks.append(sorted(members))
+            parts = [sorted(members)]
             classes.append(cls)
-    return exponent, _build_decomposition(mt, blocks, classes)
+        blocks += parts
+        exponent = math.lcm(exponent, len(parts))
+    if exponent == 1:
+        return 1, m, dec
+    mt = m.pow(exponent)
+    return exponent, mt, _build_decomposition(mt, blocks, classes)
 
 
 def pb_frobenius_power(m: ExactMatrix) -> tuple[int, BlockDecomposition]:
     """Least exponent ``t`` (lcm of periods of the growing SCCs) such that
     ``m**t`` is in PB-Frobenius form, with the refined decomposition in
     which every imprimitive SCC splits into its cyclic classes."""
-    return _frobenius_power(m, split_cyclic=False)
+    t, _, dec = _frobenius_power(m, scc_blocks(m), split_cyclic=False)
+    return t, dec
 
 
 def primitive_frobenius_power(m: ExactMatrix) -> tuple[int, BlockDecomposition]:
@@ -595,4 +596,5 @@ def primitive_frobenius_power(m: ExactMatrix) -> tuple[int, BlockDecomposition]:
     is in primitive Frobenius form: every diagonal block primitive or a 1x1
     block with entry 0 or 1.  Outside PB blocks of the PB-Frobenius
     decomposition the partition is unchanged."""
-    return _frobenius_power(m, split_cyclic=True)
+    t, _, dec = _frobenius_power(m, scc_blocks(m), split_cyclic=True)
+    return t, dec

@@ -138,47 +138,25 @@ def _rescale(w: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x >> shift for x in w)
 
 
-class _Measured:
-    """A float vector ``x`` whose eigen-estimate ``lam_hat = ||M x||_1`` and
-    residual ``||M x - lam_hat x||_1`` cost a float matvec, so they are
-    computed on first use at the current step."""
-
-    __slots__ = ("m", "x", "diff", "_measured")
-
-    def _measure(self) -> tuple[float, float]:
-        if self._measured is None:
-            y = float_matvec(self.m, self.x)
-            lam = sum(y)
-            self._measured = (
-                lam, sum(abs(yi - lam * xi) for yi, xi in zip(y, self.x)))
-        return self._measured
-
-    @property
-    def lam_hat(self) -> float:
-        return self._measure()[0]
-
-    @property
-    def residual(self) -> float:
-        return self._measure()[1]
+def _measure(m: ExactMatrix, x: FloatVector) -> tuple[float, float]:
+    """The eigen-estimate ``lam_hat = ||M x||_1`` of ``x`` and its residual
+    ``||M x - lam_hat x||_1``, from one float matvec."""
+    y = float_matvec(m, x)
+    lam = sum(y)
+    return lam, sum(abs(yi - lam * xi) for yi, xi in zip(y, x))
 
 
-class _Trajectory(_Measured):
+class _Trajectory:
     """Exact power iteration ``w <- M w``.  Each step takes the float
-    snapshot ``x`` and its l1 distance ``diff`` from the previous one.
+    snapshot ``x`` and its l1 distance ``diff`` from the previous one."""
 
-    ``lam_hat`` and ``residual`` are computed on first use at a step:
-    ``settled`` asks for them only once ``diff`` is within ``tol``, and a
-    run that stops on budget reads them at its final step.
-    """
-
-    __slots__ = ("w", "t")
+    __slots__ = ("m", "w", "t", "x", "diff")
 
     def __init__(self, m: ExactMatrix, v0: Sequence[int]):
         self.m = m
         self.w = tuple(int(c) for c in v0)
         self.t = 0
         self.x = _snapshot(self.w)
-        self._measured = None
 
     def step(self) -> None:
         self.w = self.m.apply(self.w)
@@ -188,15 +166,12 @@ class _Trajectory(_Measured):
         x_new = _snapshot(self.w)
         self.diff = l1_dist(x_new, self.x)
         self.x = x_new
-        self._measured = None
-
-    def settled(self, tol: float) -> bool:
-        return self.diff <= tol and self.residual <= tol
 
 
-class _Deflated(_Measured):
-    """The read-out ``x = normalize((M - lam I)**d s)`` of the snapshots
-    ``s`` of a trajectory of growth type ``lam**t * t**d`` with ``d >= 1``.
+def _deflate(m: ExactMatrix, growth: GrowthType,
+             s: FloatVector) -> FloatVector | None:
+    """The read-out ``normalize((M - lam I)**d s)`` of a snapshot ``s`` of a
+    trajectory of growth type ``lam**t * t**d`` with ``d >= 1``.
 
     The ``lam`` Jordan chain of the trajectory has length ``d + 1``
     (Rothblum's index theorem), so ``(M - lam I)**d M**t v0`` has no
@@ -205,52 +180,30 @@ class _Deflated(_Measured):
     eigenvalue to ``lam``, where the snapshot only comes within ``1/t``.
     Negative coordinates (rounding noise on coordinates that are zero in
     the limit, and transients of the smaller eigenvalues) are clamped to 0;
-    a transient that moves the read-out still shows in ``diff`` and the
-    residual, as in the snapshot.  ``x`` is None while no coordinate is
-    positive.
+    a transient that moves the read-out still shows in its successive
+    difference and residual, as in the snapshot.  None while no coordinate
+    is positive.
     """
-
-    __slots__ = ("lam", "degree")
-
-    def __init__(self, m: ExactMatrix, growth: GrowthType, s: FloatVector):
-        self.m = m
-        self.lam = growth.lam
-        self.degree = growth.degree
-        self.x = None
-        self.update(s)
-
-    def update(self, s: FloatVector) -> None:
-        r = s
-        for _ in range(self.degree):
-            r = [y - self.lam * c for y, c in zip(float_matvec(self.m, r), r)]
-        pos = sum(c for c in r if c > 0.0)
-        x = tuple(c / pos if c > 0.0 else 0.0 for c in r) if pos else None
-        self.diff = (l1_dist(x, self.x) if x is not None and self.x is not None
-                     else float("inf"))
-        self.x = x
-        self._measured = None
-
-    def settled(self, tol: float) -> bool:
-        # strict, so that a run at tol = 0 runs its whole budget; the
-        # eigen-estimate must match lam, since a tie within EIG_TOL alone
-        # ([[10**10 + 1, 0], [1, 10**10]]) has no chain, and its read-out
-        # settles on an eigenvector of the other eigenvalue
-        return (self.diff < tol and self.residual < tol
-                and abs(self.lam_hat - self.lam) < tol)
+    r = s
+    for _ in range(growth.degree):
+        r = [y - growth.lam * c for y, c in zip(float_matvec(m, r), r)]
+    pos = sum(c for c in r if c > 0.0)
+    return tuple(c / pos if c > 0.0 else 0.0 for c in r) if pos else None
 
 
 # ---------------------------------------------------------------------------
 # block eigenvalues and growth types
 
-def pf_eigen_block(m: ExactMatrix, dec: BlockDecomposition, i: int,
-                   width: float = PF_BRACKET_WIDTH) -> tuple[float, FloatVector]:
+def pf_eigen_block(m: ExactMatrix, dec: BlockDecomposition,
+                   i: int) -> tuple[float, FloatVector]:
     """Perron-Frobenius eigenvalue and l1-normalized positive eigenvector of
     the diagonal block ``i`` (which must be primitive or a 1x1 zero/one
     block).
 
     Power iteration on the block's non-zeros from the uniform vector; the
     Collatz-Wielandt bracket ``[min_i (Av)_i/v_i, max_i (Av)_i/v_i]``
-    certifies the eigenvalue once its width drops below ``width``.
+    certifies the eigenvalue once its width drops below
+    ``PF_BRACKET_WIDTH``.
     """
     cls = dec.classes[i]
     members = dec.members(i)
@@ -273,7 +226,7 @@ def pf_eigen_block(m: ExactMatrix, dec: BlockDecomposition, i: int,
         lo, hi = min(ratios), max(ratios)
         s = sum(y)
         x = [v / s for v in y]
-        if hi - lo <= width:
+        if hi - lo <= PF_BRACKET_WIDTH:
             return (lo + hi) / 2.0, tuple(x)
     raise MaxIterError("PF power iteration did not certify the eigenvalue")
 
@@ -395,7 +348,7 @@ def normalized_limit(m: ExactMatrix, v0: Sequence[int],
     like ``1/t``, and a stopping rule on it would fire far from the limit.
     The run then watches the float read-out ``normalize((M - lam I)**d x)``
     of each snapshot, with negatives clamped to 0, which converges
-    geometrically to the same limit (see ``_Deflated``).  It stops when
+    geometrically to the same limit (see ``_deflate``).  It stops when
     the read-out's successive difference, its eigen-residual and the gap
     between its eigen-estimate and ``lam`` are all strictly below ``tol``
     (strictly, because a read-out can be an exact float fixed point:
@@ -403,10 +356,10 @@ def normalized_limit(m: ExactMatrix, v0: Sequence[int],
     and reports the read-out as the limit.
 
     The residual, a float matvec, is computed only at steps whose
-    successive difference passes its test.  The reported eigenvalue and residual are those of the
-    reported vector.  If the budget runs out the report carries the
-    snapshot of the final exact iterate, its eigenvalue and residual, with
-    ``converged=False`` and a diagnostic.  A run at ``tol=0`` with
+    successive difference passes its test.  The reported eigenvalue and
+    residual are those of the reported vector.  If the budget runs out the
+    report carries the snapshot of the final exact iterate, its eigenvalue
+    and residual, with ``converged=False`` and a diagnostic.  A run at ``tol=0`` with
     ``d >= 1`` never settles, so it always runs its whole budget and
     returns the final iterate.
     """
@@ -427,22 +380,36 @@ def normalized_limit(m: ExactMatrix, v0: Sequence[int],
                                [i for i, c in enumerate(v0) if c])
     traj = _Trajectory(m, v0)
     # the vector the stopping rule watches and a settled run reports
-    readout = traj if growth.degree == 0 else _Deflated(m, growth, traj.x)
+    x = _deflate(m, growth, traj.x) if growth.degree else traj.x
     for _ in range(max_iter):
         traj.step()
-        if readout is not traj:
-            readout.update(traj.x)
-        if readout.settled(tol):
+        if growth.degree == 0:
+            x = traj.x
+            if not traj.diff <= tol:
+                continue
+            lam_hat, residual = _measure(m, x)
+            settled = residual <= tol
+        else:
+            x_prev, x = x, _deflate(m, growth, traj.x)
+            if x is None or x_prev is None or not l1_dist(x, x_prev) < tol:
+                continue
+            lam_hat, residual = _measure(m, x)
+            # strict, so that a run at tol = 0 runs its whole budget; the
+            # eigen-estimate must match lam, since a tie within EIG_TOL alone
+            # ([[10**10 + 1, 0], [1, 10**10]]) has no chain, and its read-out
+            # settles on an eigenvector of the other eigenvalue
+            settled = residual < tol and abs(lam_hat - growth.lam) < tol
+        if settled:
             return ConvergenceReport(
-                limit=readout.x, eigenvalue=readout.lam_hat,
-                iterations=traj.t, residual=readout.residual, growth=growth,
-                converged=True,
+                limit=x, eigenvalue=lam_hat, iterations=traj.t,
+                residual=residual, growth=growth, converged=True,
             )
+    lam_hat, residual = _measure(m, traj.x)
     return ConvergenceReport(
-        limit=traj.x, eigenvalue=traj.lam_hat, iterations=traj.t,
-        residual=traj.residual, growth=growth, converged=False,
+        limit=traj.x, eigenvalue=lam_hat, iterations=traj.t,
+        residual=residual, growth=growth, converged=False,
         diagnostic=(
-            f"max_iter={max_iter} reached with residual {traj.residual:.3e} "
+            f"max_iter={max_iter} reached with residual {residual:.3e} "
             f"> tol {tol:.3e}; returning the final iterate"
         ),
     )

@@ -17,7 +17,7 @@ from .errors import (
     NotExpandingError,
     ParseError,
 )
-from .matrices import ExactMatrix, is_expanding, pb_frobenius_power
+from .matrices import ExactMatrix, _frobenius_power, is_expanding, scc_blocks
 
 Word = tuple[int, ...]
 
@@ -168,9 +168,11 @@ def is_expanding_subst(s: Substitution) -> bool:
 def stabilizing_power(s: Substitution) -> int:
     """Least power making the incidence matrix PB-Frobenius (the
     substitution analogue of passing to a Frobenius-form power)."""
-    if not is_expanding_subst(s):
+    m = s.incidence_matrix()
+    dec = scc_blocks(m)
+    if not dec.is_expanding():
         raise NotExpandingError("substitution is not expanding")
-    return pb_frobenius_power(s.incidence_matrix())[0]
+    return _frobenius_power(m, dec, split_cyclic=False)[0]
 
 
 def count_occurrences(w: Sequence, u: Sequence) -> int:

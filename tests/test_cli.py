@@ -2,9 +2,12 @@
 
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
+from subperron import matrices, stabilizing_power, words
 from subperron.cli import main
 
 FIB = "a -> ab\nb -> a\n"
@@ -221,3 +224,48 @@ class TestMeasure:
                            "--letter", "a", "--word", "ax")
         assert code == 2
         assert "unknown letter" in err
+
+
+class TestDecomposeOnce:
+    """Each command decomposes its matrix once: ``scc_blocks`` is counted in
+    every namespace that binds it."""
+
+    INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"scc_blocks": 0, "incidence_matrix": 0}
+        scc_blocks = matrices.scc_blocks
+        incidence_matrix = words.Substitution.incidence_matrix
+
+        def counting_scc_blocks(m):
+            counts["scc_blocks"] += 1
+            return scc_blocks(m)
+
+        def counting_incidence_matrix(s):
+            counts["incidence_matrix"] += 1
+            return incidence_matrix(s)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "subperron"
+                    and vars(module).get("scc_blocks") is scc_blocks):
+                monkeypatch.setattr(module, "scc_blocks", counting_scc_blocks)
+        monkeypatch.setattr(words.Substitution, "incidence_matrix",
+                            counting_incidence_matrix)
+        return counts
+
+    def test_analyze_matrix(self, capsys, counts):
+        code, _, _ = run(capsys, "analyze-matrix", self.INPUTS / "m8.mat",
+                         "--json")
+        assert code == 0
+        assert counts["scc_blocks"] == 1
+
+    def test_analyze_subst(self, capsys, counts):
+        code, _, _ = run(capsys, "analyze-subst",
+                         self.INPUTS / "fibonacci.sub", "--json")
+        assert code == 0
+        assert counts == {"scc_blocks": 1, "incidence_matrix": 1}
+
+    def test_stabilizing_power(self, fib, counts):
+        assert stabilizing_power(fib) == 1
+        assert counts == {"scc_blocks": 1, "incidence_matrix": 1}

@@ -253,6 +253,31 @@ class TestNormalizedLimit:
         x1 = [table.entries[(i,)] for i in range(m1.n)]
         assert table.growth_rate == measured(m1, x1)[0]
 
+    def test_residual_only_at_steps_within_tol(self, m8, monkeypatch):
+        # the residual's float matvec runs once at each step whose successive
+        # difference is within tol (e_5 at 1e-10: 4 of 82 steps), never else
+        import subperron.spectral as spectral
+
+        calls = []
+        matvec = spectral.float_matvec
+
+        def counting(m, x):
+            calls.append(None)
+            return matvec(m, x)
+
+        monkeypatch.setattr(spectral, "float_matvec", counting)
+        for i in (4, 5, 6, 7):
+            for tol in (1e-10, 1e-6):
+                calls.clear()
+                rep = normalized_limit(m8, e(8, i), tol=tol)
+                assert rep.converged and rep.growth.degree == 0
+                traj = _Trajectory(m8, e(8, i))
+                within = 0
+                for _ in range(rep.iterations):
+                    traj.step()
+                    within += traj.diff <= tol
+                assert len(calls) == within
+
     def test_rejects_imprimitive(self, antidiag4):
         with pytest.raises(NotPBFrobeniusError):
             normalized_limit(antidiag4, e(4, 0))
