@@ -25,7 +25,13 @@ from .errors import (
     ZeroColumnError,
 )
 from .frequencies import frequency_table, kirchhoff_check, measure_cylinder
-from .matrices import ExactMatrix, _frobenius_power, load_matrix, scc_blocks
+from .matrices import (
+    ExactMatrix,
+    _frobenius_partition,
+    _frobenius_power,
+    load_matrix,
+    scc_blocks,
+)
 from .spectral import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -70,7 +76,7 @@ def _matrix_report(m: ExactMatrix, names: Sequence[str] | None = None) -> dict:
     """Analysis pipeline: SCC blocks, Frobenius powers, eigenvalues, growth
     types, principal blocks and eigenvectors."""
     dec0 = scc_blocks(m)
-    t_pb = _frobenius_power(m, dec0, split_cyclic=False)[0]
+    t_pb = _frobenius_partition(m, dec0, split_cyclic=False)[0]
     t_pf, mt, dec = _frobenius_power(m, dec0, split_cyclic=True)
     eigenvalues = block_eigenvalues(mt, dec)
 

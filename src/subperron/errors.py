@@ -44,10 +44,6 @@ class CapExceededError(SubperronError):
     """Factor-alphabet saturation exceeded the safety cap."""
 
 
-class NoSeedWordError(SubperronError):
-    """No factor of the requested length starts with the requested letter."""
-
-
 class ImageTooShortError(SubperronError):
     """Defensive guard: a substitution image is too short for the blow-up
     window extraction (cannot occur for expanding substitutions)."""

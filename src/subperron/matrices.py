@@ -552,13 +552,14 @@ def is_expanding(m: ExactMatrix) -> bool:
     return scc_blocks(m).is_expanding()
 
 
-def _frobenius_power(m: ExactMatrix, dec: BlockDecomposition, split_cyclic: bool,
-                     ) -> tuple[int, ExactMatrix, BlockDecomposition]:
-    """``(t, m**t, dec_t)``: the least power ``t`` at which every
+def _frobenius_partition(m: ExactMatrix, dec: BlockDecomposition,
+                         split_cyclic: bool,
+                         ) -> tuple[int, list[list[int]], list[BlockClass]]:
+    """``(t, blocks, classes)``: the least power ``t`` at which every
     imprimitive block of ``dec = scc_blocks(m)`` (with ``split_cyclic``,
-    also every cyclic permutation block) splits into its cyclic classes,
-    and the decomposition of ``m**t`` into those classes and the other
-    blocks.  ``(1, m, dec)`` when no block splits."""
+    also every cyclic permutation block) splits into its cyclic classes;
+    the blocks of ``m**t`` (those classes and the other blocks) and their
+    classes.  Takes no power of ``m``."""
     adj = _successors(m)
     exponent = 1
     blocks: list[list[int]] = []
@@ -577,6 +578,15 @@ def _frobenius_power(m: ExactMatrix, dec: BlockDecomposition, split_cyclic: bool
             classes.append(cls)
         blocks += parts
         exponent = math.lcm(exponent, len(parts))
+    return exponent, blocks, classes
+
+
+def _frobenius_power(m: ExactMatrix, dec: BlockDecomposition, split_cyclic: bool,
+                     ) -> tuple[int, ExactMatrix, BlockDecomposition]:
+    """``(t, m**t, dec_t)``: the power of ``_frobenius_partition`` and the
+    decomposition of ``m**t`` into its blocks.  ``(1, m, dec)`` when no
+    block splits."""
+    exponent, blocks, classes = _frobenius_partition(m, dec, split_cyclic)
     if exponent == 1:
         return 1, m, dec
     mt = m.pow(exponent)

@@ -17,7 +17,7 @@ from .errors import (
     NotExpandingError,
     ParseError,
 )
-from .matrices import ExactMatrix, _frobenius_power, is_expanding, scc_blocks
+from .matrices import ExactMatrix, _frobenius_partition, is_expanding, scc_blocks
 
 Word = tuple[int, ...]
 
@@ -172,7 +172,7 @@ def stabilizing_power(s: Substitution) -> int:
     dec = scc_blocks(m)
     if not dec.is_expanding():
         raise NotExpandingError("substitution is not expanding")
-    return _frobenius_power(m, dec, split_cyclic=False)[0]
+    return _frobenius_partition(m, dec, split_cyclic=False)[0]
 
 
 def count_occurrences(w: Sequence, u: Sequence) -> int:
@@ -211,9 +211,6 @@ class FactorAlphabet:
 
     def __len__(self):
         return len(self.words)
-
-    def __contains__(self, word) -> bool:
-        return tuple(word) in self.index
 
 
 def _sliding_factors(word: Word, n: int) -> list[Word]:
@@ -267,8 +264,7 @@ def factor_alphabet(s: Substitution, n: int, cap: int | None = None) -> FactorAl
     return FactorAlphabet(n, queue, alphabet)
 
 
-def blow_up(s: Substitution, n: int,
-            fa: FactorAlphabet | None = None) -> tuple[Substitution, FactorAlphabet]:
+def blow_up(s: Substitution, n: int) -> tuple[Substitution, FactorAlphabet]:
     """The level-n blow-up substitution on the alphabet of length-n factors.
 
     The image of ``w = x_1 ... x_n`` is the ordered list of the first
@@ -277,8 +273,7 @@ def blow_up(s: Substitution, n: int,
     """
     if n < 2:
         raise ValueError("blow-up level must be >= 2")
-    if fa is None:
-        fa = factor_alphabet(s, n)
+    fa = factor_alphabet(s, n)
     names = []
     single = all(len(ltr) == 1 for ltr in s.alphabet.letters)
     for w in fa.words:

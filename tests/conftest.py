@@ -10,10 +10,12 @@ import pytest
 from subperron import (
     ExactMatrix,
     Substitution,
+    blow_up,
     block_eigenvalues,
     is_expanding,
     normalized_limit,
     scc_blocks,
+    stabilizing_power,
 )
 
 # the 8x8 reducible fixture with four primitive 2x2 blocks; eigenvalues
@@ -122,6 +124,46 @@ def thue_morse(corpus):
 @pytest.fixture(scope="session")
 def aab_bb(corpus):
     return corpus["aab_bb"]
+
+
+# ---------------------------------------------------------------------------
+# an independent route to limit frequencies
+
+def blow_up_frequencies(s: Substitution, a: int, n: int,
+                        tol: float = 1e-12) -> dict | None:
+    """Length-n limit frequencies based at letter index ``a`` by the route
+    of the level-n blow-up: ``normalized_limit`` on the incidence matrix of
+    the stabilizing power (n = 1) or of its level-n blow-up, started at the
+    first factor that begins with ``a``.  None when no length-n factor
+    begins with ``a``."""
+    zs = s.power(stabilizing_power(s))
+    if n == 1:
+        m, words, start = zs.incidence_matrix(), [(i,) for i in range(len(s.alphabet))], a
+    else:
+        zn, fa = blow_up(zs, n)
+        m, words = zn.incidence_matrix(), fa.words
+        start = next((k for k, w in enumerate(words) if w[0] == a), None)
+        if start is None:
+            return None
+    v0 = [0] * m.n
+    v0[start] = 1
+    report = normalized_limit(m, v0, tol=tol, max_iter=200000)
+    assert report.converged
+    return dict(zip(words, report.limit))
+
+
+@pytest.fixture(scope="session")
+def frequency_oracle():
+    """``blow_up_frequencies``, cached per (substitution, letter, length)."""
+    cache: dict = {}
+
+    def oracle(s: Substitution, a: int, n: int) -> dict | None:
+        key = (s.alphabet.letters, s.images, a, n)
+        if key not in cache:
+            cache[key] = blow_up_frequencies(s, a, n)
+        return cache[key]
+
+    return oracle
 
 
 # ---------------------------------------------------------------------------

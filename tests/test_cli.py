@@ -269,3 +269,22 @@ class TestDecomposeOnce:
     def test_stabilizing_power(self, fib, counts):
         assert stabilizing_power(fib) == 1
         assert counts == {"scc_blocks": 1, "incidence_matrix": 1}
+
+
+class TestFrobeniusExponent:
+    def test_pb_exponent_takes_no_power(self, capsys, monkeypatch):
+        # the antidiagonal fixture's PB-Frobenius exponent is 2; only the
+        # primitive-Frobenius refinement needs the power of the matrix
+        calls = []
+        pow_ = matrices.ExactMatrix.pow
+
+        def counting_pow(m, t):
+            calls.append(t)
+            return pow_(m, t)
+
+        monkeypatch.setattr(matrices.ExactMatrix, "pow", counting_pow)
+        code, out, _ = run(capsys, "analyze-matrix",
+                           TestDecomposeOnce.INPUTS / "antidiag4.mat")
+        assert code == 0
+        assert "pb-frobenius exponent: 2" in out
+        assert len(calls) == 1
