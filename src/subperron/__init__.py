@@ -3,6 +3,8 @@ matrices, with applications to expanding substitutions: normalized-iterate
 limits, principal eigenvectors, blow-up substitutions, factor frequencies,
 and shift-invariant measures on substitution subshifts."""
 
+import types as _types
+
 from .errors import (
     CapExceededError,
     ImageOverflowError,
@@ -73,62 +75,7 @@ from .words import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alphabet",
-    "BlockClass",
-    "BlockDecomposition",
-    "CapExceededError",
-    "ConvergenceReport",
-    "ExactMatrix",
-    "FactorAlphabet",
-    "FrequencyTable",
-    "GrowthType",
-    "ImageOverflowError",
-    "ImageTooShortError",
-    "KirchhoffReport",
-    "MaxIterError",
-    "NotExpandingError",
-    "NotPBFrobeniusError",
-    "NotPrincipalError",
-    "ParseError",
-    "PrincipalEigenvector",
-    "SingularSystemError",
-    "SubperronError",
-    "Substitution",
-    "ZeroColumnError",
-    "block_eigenvalues",
-    "blow_up",
-    "classify_limit_case",
-    "cone_growth_type",
-    "count_occurrences",
-    "count_occurrences_str",
-    "dominant_interior_contains",
-    "eigencone_membership",
-    "factor_alphabet",
-    "factor_frequencies",
-    "frequency_table",
-    "growth_rate",
-    "growth_type",
-    "is_expanding",
-    "is_expanding_subst",
-    "is_power_bounded",
-    "is_primitive",
-    "kirchhoff_check",
-    "letter_frequencies",
-    "load_matrix",
-    "load_substitution",
-    "mat_pow_apply",
-    "measure_cylinder",
-    "normalized_limit",
-    "parse_matrix",
-    "parse_substitution",
-    "pb_frobenius_power",
-    "pf_eigen_block",
-    "power_eigenvector_lift",
-    "primitive_frobenius_power",
-    "principal_blocks",
-    "principal_eigenvector",
-    "scc_blocks",
-    "stabilizing_power",
-    "trajectory_growth",
-]
+#: the public names imported above, each written once
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _types.ModuleType))

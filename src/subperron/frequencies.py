@@ -155,13 +155,15 @@ class _InducedLimits:
         self.zs, self.z, self.m1 = zs, z, zs.incidence_matrix()
         self.shortest = min(map(len, z.images))
         amplification = 1.0
+        dec = eigenvalues = None
         if top >= 2:
             # the error of f_1 lives on the letters that zs**t(a) holds
             dec = scc_blocks(self.m1)
+            eigenvalues = block_eigenvalues(self.m1, dec)
             own = dec.block_of(a)
             longest = max(len(z.images[c]) for b in {own, *dec.dependency[own]}
                           for c in dec.members(b))
-            growth = trajectory_growth(dec, block_eigenvalues(self.m1, dec), [a])
+            growth = trajectory_growth(dec, eigenvalues, [a])
             lam = growth.lam ** self.p
             amplification = (longest - 1) / (lam - 1)
             n = top
@@ -171,7 +173,8 @@ class _InducedLimits:
         v0 = [0] * self.m1.n
         v0[a] = 1
         self.report = normalized_limit(
-            self.m1, v0, tol=tol / max(1.0, amplification), max_iter=max_iter)
+            self.m1, v0, tol=tol / max(1.0, amplification), max_iter=max_iter,
+            dec=dec, eigenvalues=eigenvalues)
         f1 = self.report.limit
         self.lam = sum(x * len(w) for x, w in zip(f1, z.images))
         self.levels = {1: {(i,): x for i, x in enumerate(f1)}}

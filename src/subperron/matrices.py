@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -236,7 +236,9 @@ class BlockDecomposition:
     ``dependency[i]`` is the set of blocks ``j`` that block ``i`` strictly
     precedes in the flow order (mass started in block ``i`` eventually
     reaches block ``j``); ``block_index[v]`` is the block holding original
-    index ``v``.
+    index ``v``.  ``pf_pairs`` holds the block PF pairs that
+    ``spectral.pf_eigen_block`` certified, so that each is certified once
+    for as long as the decomposition is used.
     """
 
     n: int
@@ -245,6 +247,8 @@ class BlockDecomposition:
     classes: tuple[BlockClass, ...]
     dependency: tuple[frozenset[int], ...]
     block_index: tuple[int, ...]
+    pf_pairs: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def num_blocks(self) -> int:

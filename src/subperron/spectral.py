@@ -88,6 +88,17 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= EIG_TOL * max(1.0, abs(a), abs(b))
 
 
+def _tied(dec: BlockDecomposition, eigenvalues: Sequence[float],
+          b: int, c: int) -> bool:
+    """Whether blocks ``b`` and ``c`` share their root.  A 1x1 block's root
+    is its entry, exact as a float below ``2**53``, so two such blocks tie
+    only on equal entries; other roots tie within ``EIG_TOL``."""
+    x, y = eigenvalues[b], eigenvalues[c]
+    if len(dec.members(b)) == len(dec.members(c)) == 1 and max(x, y) < 2.0**53:
+        return x == y
+    return _close(x, y)
+
+
 def l1_norm(v: Sequence[float]) -> float:
     return float(sum(abs(x) for x in v))
 
@@ -203,8 +214,18 @@ def pf_eigen_block(m: ExactMatrix, dec: BlockDecomposition,
     Power iteration on the block's non-zeros from the uniform vector; the
     Collatz-Wielandt bracket ``[min_i (Av)_i/v_i, max_i (Av)_i/v_i]``
     certifies the eigenvalue once its width drops below
-    ``PF_BRACKET_WIDTH``.
+    ``PF_BRACKET_WIDTH``.  The pair is stored on ``dec``, and later calls
+    for the same block and matrix read it back.
     """
+    stored = dec.pf_pairs.get(i)
+    if stored is None or stored[0] is not m:
+        stored = dec.pf_pairs[i] = (m, _certify_pf(m, dec, i))
+    return stored[1]
+
+
+def _certify_pf(m: ExactMatrix, dec: BlockDecomposition,
+                i: int) -> tuple[float, FloatVector]:
+    """The pair of ``pf_eigen_block``, computed."""
     cls = dec.classes[i]
     members = dec.members(i)
     if cls is BlockClass.ZERO_ONE:
@@ -260,13 +281,20 @@ def _longest_chain(dec: BlockDecomposition, candidates: set[int]) -> int:
     return max(length.values())
 
 
+def _maximal(dec: BlockDecomposition, eigenvalues: Sequence[float],
+             blocks: set[int]) -> set[int]:
+    """The blocks in ``blocks`` (not empty) whose root ties the largest."""
+    top = max(blocks, key=eigenvalues.__getitem__)
+    return {b for b in blocks if _tied(dec, eigenvalues, b, top)}
+
+
 def _growth_of(dec: BlockDecomposition, eigenvalues: Sequence[float],
                blocks: set[int]) -> GrowthType:
     lam = max((eigenvalues[b] for b in blocks), default=0.0)
     if lam <= 0.0:
         return GrowthType(0.0, 0)
-    maximal = {b for b in blocks if _close(eigenvalues[b], lam)}
-    return GrowthType(lam, _longest_chain(dec, maximal) - 1)
+    return GrowthType(
+        lam, _longest_chain(dec, _maximal(dec, eigenvalues, blocks)) - 1)
 
 
 def growth_type(dec: BlockDecomposition, eigenvalues: Sequence[float],
@@ -310,7 +338,7 @@ def dominant_interior_contains(dec: BlockDecomposition,
     growth = _growth_of(dec, eigenvalues, cone_blocks)
     if growth.lam <= 0.0:
         return False
-    maximal = {b for b in cone_blocks if _close(eigenvalues[b], growth.lam)}
+    maximal = _maximal(dec, eigenvalues, cone_blocks)
     positive = {
         b for b in maximal if all(v[idx] > 0.0 for idx in dec.members(b))
     }
@@ -333,7 +361,10 @@ def trajectory_growth(dec: BlockDecomposition, eigenvalues: Sequence[float],
 
 def normalized_limit(m: ExactMatrix, v0: Sequence[int],
                      tol: float = DEFAULT_TOL,
-                     max_iter: int = DEFAULT_MAX_ITER) -> ConvergenceReport:
+                     max_iter: int = DEFAULT_MAX_ITER,
+                     dec: BlockDecomposition | None = None,
+                     eigenvalues: Sequence[float] | None = None,
+                     ) -> ConvergenceReport:
     """Normalized limit of ``M**t v0 / ||M**t v0||_1`` for an expanding
     matrix in PB-Frobenius form.
 
@@ -362,8 +393,13 @@ def normalized_limit(m: ExactMatrix, v0: Sequence[int],
     and residual, with ``converged=False`` and a diagnostic.  A run at ``tol=0`` with
     ``d >= 1`` never settles, so it always runs its whole budget and
     returns the final iterate.
+
+    ``dec`` and ``eigenvalues``, when given, are ``scc_blocks(m)`` and
+    ``block_eigenvalues(m, dec)`` from the caller, and are not computed
+    again.
     """
-    dec = scc_blocks(m)
+    if dec is None:
+        dec = scc_blocks(m)
     if not dec.is_pb_frobenius():
         raise NotPBFrobeniusError(
             "matrix has an imprimitive diagonal block; apply pb_frobenius_power"
@@ -375,7 +411,8 @@ def normalized_limit(m: ExactMatrix, v0: Sequence[int],
         raise ValueError("dimension mismatch")
     if any(c < 0 for c in v0) or not any(v0):
         raise ValueError("v0 must be non-negative and non-zero")
-    eigenvalues = block_eigenvalues(m, dec)
+    if eigenvalues is None:
+        eigenvalues = block_eigenvalues(m, dec)
     growth = trajectory_growth(dec, eigenvalues,
                                [i for i, c in enumerate(v0) if c])
     traj = _Trajectory(m, v0)
@@ -396,8 +433,9 @@ def normalized_limit(m: ExactMatrix, v0: Sequence[int],
             lam_hat, residual = _measure(m, x)
             # strict, so that a run at tol = 0 runs its whole budget; the
             # eigen-estimate must match lam, since a tie within EIG_TOL alone
-            # ([[10**10 + 1, 0], [1, 10**10]]) has no chain, and its read-out
-            # settles on an eigenvector of the other eigenvalue
+            # (blocks [[h, h + 1], [h + 1, h]] and [[h, h], [h, h]] with
+            # h = 5 * 10**9) has no chain, and its read-out settles on an
+            # eigenvector of the other eigenvalue
             settled = residual < tol and abs(lam_hat - growth.lam) < tol
         if settled:
             return ConvergenceReport(
@@ -425,10 +463,12 @@ def classify_limit_case(dec: BlockDecomposition, eigenvalues: Sequence[float],
     to scale, positive on the block), 2 on a tie, 3 when it is dominated
     (limits may depend on the starting vector)."""
     lam = eigenvalues[i]
-    lam_u = max((eigenvalues[j] for j in dec.dependency[i]), default=0.0)
-    if _close(lam, lam_u):
+    u = max(dec.dependency[i], key=eigenvalues.__getitem__, default=None)
+    if u is None:
+        return 2 if _close(lam, 0.0) else 1
+    if _tied(dec, eigenvalues, i, u):
         return 2
-    return 1 if lam > lam_u else 3
+    return 1 if lam > eigenvalues[u] else 3
 
 
 def _check_no_zero_columns(dec: BlockDecomposition,

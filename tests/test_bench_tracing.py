@@ -32,3 +32,6 @@ def test_traced_command_keeps_stdout(capsys):
     assert code == 0
     assert capsys.readouterr().out == untraced
     assert tracer.pass_metrics()["spectral.iterations"] > 0
+    # the handler runs through the tracer's wrapper, although the parser
+    # was built before the tracer was installed
+    assert "cli.cmd_freq" in {tracer.names[k] for k in tracer.span_name}

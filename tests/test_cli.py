@@ -2,12 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from subperron import matrices, stabilizing_power, words
+from subperron import cli, matrices, spectral, stabilizing_power, words
 from subperron.cli import main
 
 FIB = "a -> ab\nb -> a\n"
@@ -52,6 +54,19 @@ class TestAnalyzeMatrix:
         assert report["dependency"] == {
             "1": [2, 3, 4], "2": [4], "3": [4], "4": []}
         assert report["principal_blocks"] == [3, 4]
+
+    def test_distinct_integer_roots_do_not_tie(self, capsys, tmp_path):
+        # 1x1 blocks tie only on equal entries: 10**10 + 1 beats the 10**10
+        # it feeds, although the two agree within EIG_TOL
+        path = tmp_path / "near.txt"
+        path.write_text("10000000001 0\n1 10000000000\n")
+        code, out, _ = run(capsys, "analyze-matrix", path, "--json",
+                           "--vector", "1,0", "--max-iter", "200")
+        assert code == 0
+        report = json.loads(out)
+        assert [b["growth"]["degree"] for b in report["blocks"]] == [0, 0]
+        assert report["principal_blocks"] == [1, 2]
+        assert report["limit"]["growth"]["degree"] == 0
 
     def test_require_expanding_violation(self, capsys, workdir):
         code, _, err = run(capsys, "analyze-matrix", workdir / "identity.txt",
@@ -228,7 +243,10 @@ class TestMeasure:
 
 class TestDecomposeOnce:
     """Each command decomposes its matrix once: ``scc_blocks`` is counted in
-    every namespace that binds it."""
+    every namespace that binds it.  It also certifies each block's PF pair
+    once: ``block_eigenvalues`` is counted the same way, and ``certify``
+    counts the runs of the certifying computation behind
+    ``pf_eigen_block``."""
 
     INPUTS = Path(__file__).parent / "golden" / "inputs"
 
@@ -253,6 +271,52 @@ class TestDecomposeOnce:
         monkeypatch.setattr(words.Substitution, "incidence_matrix",
                             counting_incidence_matrix)
         return counts
+
+    @pytest.fixture
+    def pf_counts(self, monkeypatch):
+        pf_counts = {"block_eigenvalues": 0, "certify": 0}
+        block_eigenvalues = spectral.block_eigenvalues
+        certify = spectral._certify_pf
+
+        def counting_block_eigenvalues(m, dec):
+            pf_counts["block_eigenvalues"] += 1
+            return block_eigenvalues(m, dec)
+
+        def counting_certify(m, dec, i):
+            pf_counts["certify"] += 1
+            return certify(m, dec, i)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "subperron"
+                    and vars(module).get("block_eigenvalues")
+                    is block_eigenvalues):
+                monkeypatch.setattr(module, "block_eigenvalues",
+                                    counting_block_eigenvalues)
+        monkeypatch.setattr(spectral, "_certify_pf", counting_certify)
+        return pf_counts
+
+    def test_analyze_matrix_limit(self, capsys, counts, pf_counts):
+        # four 2x2 primitive blocks, each certified once although the
+        # report, the limit and two principal eigenvectors all use them
+        code, _, _ = run(capsys, "analyze-matrix", self.INPUTS / "m8.mat",
+                         "--json", "--vector", "0,0,0,0,1,0,0,0")
+        assert code == 0
+        assert counts["scc_blocks"] == 1
+        assert pf_counts["certify"] == 4
+
+    def test_freq(self, capsys, pf_counts):
+        code, _, _ = run(capsys, "freq", self.INPUTS / "fibonacci.sub",
+                         "--letter", "a", "--max-len", "3")
+        assert code == 0
+        assert pf_counts == {"block_eigenvalues": 1, "certify": 1}
+
+    def test_no_pair_outlives_its_command(self, capsys, pf_counts):
+        m8 = ("analyze-matrix", self.INPUTS / "m8.mat", "--json")
+        assert run(capsys, *m8)[0] == 0
+        assert run(capsys, *m8)[0] == 0
+        assert pf_counts["certify"] == 8
+        assert run(capsys, "analyze-matrix", self.INPUTS / "case3.mat")[0] == 0
+        assert pf_counts["certify"] > 8
 
     def test_analyze_matrix(self, capsys, counts):
         code, _, _ = run(capsys, "analyze-matrix", self.INPUTS / "m8.mat",
@@ -288,3 +352,50 @@ class TestFrobeniusExponent:
         assert code == 0
         assert "pb-frobenius exponent: 2" in out
         assert len(calls) == 1
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; parsing leaves it as it
+    was, and the handler is looked up by name at each call."""
+
+    INPUTS = TestDecomposeOnce.INPUTS
+
+    @staticmethod
+    def fresh(*argv):
+        """Exit code, stdout and stderr of the command in a new interpreter."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "subperron.cli", *map(str, argv)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=path))
+        return done.returncode, done.stdout, done.stderr
+
+    def test_calls_print_what_fresh_calls_print(self, capsys):
+        freq = ("freq", self.INPUTS / "fibonacci.sub", "--letter", "a",
+                "--max-len", "3")
+        bad = ("freq", self.INPUTS / "fibonacci.sub", "--max-len", "x")
+        report = ("analyze-matrix", self.INPUTS / "m8.mat", "--json")
+        for argv in (freq, bad, report, freq):
+            try:
+                got = run(capsys, *argv)
+            except SystemExit as exc:
+                captured = capsys.readouterr()
+                got = (exc.code, captured.out, captured.err)
+            assert got == self.fresh(*argv), argv
+        assert got[0] == 0 and got[1]
+
+    def test_handler_replaced_after_first_call_runs(self, capsys,
+                                                    monkeypatch):
+        argv = ("freq", self.INPUTS / "fibonacci.sub", "--letter", "a")
+        assert run(capsys, *argv)[0] == 0
+        calls = []
+        cmd_freq = cli.cmd_freq
+
+        def wrapped(args):
+            calls.append(args.letter)
+            return cmd_freq(args)
+
+        monkeypatch.setattr(cli, "cmd_freq", wrapped)
+        assert run(capsys, *argv)[0] == 0
+        assert calls == ["a"]

@@ -183,12 +183,15 @@ class TestNormalizedLimit:
             assert l1_dist(rep.limit, oracle) <= 1e-6, i
 
     def test_near_tie_is_not_read_as_a_chain(self):
-        # 10**10 + 1 and 10**10 tie within EIG_TOL, so the growth degree is
-        # 1, but there is no Jordan chain: the deflated read-out settles on
-        # (0, 1), an eigenvector of 10**10, while the iterate tends to
-        # (1/2, 1/2) only as (1 - 1e-10)**t dies out; the run must not stop
-        m = ExactMatrix([[10**10 + 1, 0], [1, 10**10]])
-        rep = normalized_limit(m, e(2, 0), tol=1e-6, max_iter=200)
+        # the 2x2 blocks' roots 10**10 + 1 and 10**10 tie within EIG_TOL, so
+        # the growth degree is 1, but there is no Jordan chain: the deflated
+        # read-out settles on (0, 0, 1/2, 1/2), an eigenvector of 10**10,
+        # while the iterate leaves it only as (1 - 1e-10)**t dies out; the
+        # run must not stop
+        h = 5 * 10**9
+        m = ExactMatrix([[h, h + 1, 0, 0], [h + 1, h, 0, 0],
+                         [1, 0, h, h], [0, 0, h, h]])
+        rep = normalized_limit(m, e(4, 0), tol=1e-6, max_iter=200)
         assert rep.growth.degree == 1
         assert not rep.converged and rep.iterations == 200
 
