@@ -39,39 +39,6 @@ def solve(a: Matrix, b: list[float]) -> list[float]:
     return x
 
 
-def nullspace(a: Matrix, tol: float = 1e-9) -> list[list[float]]:
-    """Basis of the (numerical) null space of ``a`` via row reduction."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [list(map(float, row)) for row in a]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = max(range(r, rows), key=lambda i: abs(m[i][c]), default=None)
-        if piv is None or abs(m[piv][c]) <= tol:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1.0 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and abs(m[i][c]) > 0.0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0.0] * cols
-        v[f] = 1.0
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -m[row_idx][f]
-        basis.append(v)
-    return basis
-
-
 def lstsq(a: Matrix, b: list[float]) -> list[float]:
     """Least squares via normal equations (adequate at this scale)."""
     rows = len(a)

@@ -46,7 +46,7 @@ from typing import Iterator
 
 from . import _linalg
 from .errors import MaxIterError, ParseError
-from .matrices import scc_blocks
+from .matrices import BlockDecomposition, ExactMatrix, scc_blocks
 from .spectral import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -56,7 +56,7 @@ from .spectral import (
     normalized_limit,
     trajectory_growth,
 )
-from .words import Substitution, Word, stabilizing_power
+from .words import Substitution, Word, _stabilizing
 
 
 def _letter_index(s: Substitution, a) -> int:
@@ -143,22 +143,30 @@ class _InducedLimits:
     """The limits ``f_n`` based at letter ``a``, for every length up to
     ``top``, read off the letter limit through the substitution induced on
     length-n words (see the module docstring).  ``report`` is the letter
-    limit's, on ``m1``, the incidence matrix of ``zs``; ``level(n)`` is
-    memoized."""
+    limit's, on ``m1``, the incidence matrix of the stabilizing power
+    ``zs``; ``level(n)`` is memoized.  ``stable`` is
+    ``words._stabilizing(s)``, whose matrix and decomposition serve as
+    ``zs``'s when the power is 1."""
 
-    def __init__(self, zs: Substitution, a: int, top: int, tol: float,
-                 max_iter: int):
+    def __init__(self, s: Substitution,
+                 stable: tuple[int, ExactMatrix, BlockDecomposition], a: int,
+                 top: int, tol: float, max_iter: int):
+        power, m1, dec = stable
+        zs = s
+        if power > 1:
+            zs = s.power(power)
+            m1 = zs.incidence_matrix()
+            dec = scc_blocks(m1)
         z, self.p = zs, 1
         while min(map(len, z.images)) < 2:
             self.p += 1
             z = zs.power(self.p)
-        self.zs, self.z, self.m1 = zs, z, zs.incidence_matrix()
+        self.zs, self.z, self.m1 = zs, z, m1
         self.shortest = min(map(len, z.images))
         amplification = 1.0
-        dec = eigenvalues = None
+        eigenvalues = None
         if top >= 2:
             # the error of f_1 lives on the letters that zs**t(a) holds
-            dec = scc_blocks(self.m1)
             eigenvalues = block_eigenvalues(self.m1, dec)
             own = dec.block_of(a)
             longest = max(len(z.images[c]) for b in {own, *dec.dependency[own]}
@@ -264,8 +272,7 @@ def letter_frequencies(s: Substitution, a, tol: float = DEFAULT_TOL,
     the substitution raised to its stabilizing power.
     """
     a = _letter_index(s, a)
-    zs = s.power(stabilizing_power(s))
-    report = _InducedLimits(zs, a, 1, tol, max_iter).report
+    report = _InducedLimits(s, _stabilizing(s), a, 1, tol, max_iter).report
     return _settled_limit(s, a, 1, report), report
 
 
@@ -286,7 +293,7 @@ def factor_frequencies(s: Substitution, a, n: int,
     if n < 2:
         raise ValueError("use letter_frequencies for length 1")
     a = _letter_index(s, a)
-    limits = _InducedLimits(s.power(stabilizing_power(s)), a, n, tol, max_iter)
+    limits = _InducedLimits(s, _stabilizing(s), a, n, tol, max_iter)
     _settled_limit(s, a, n, limits.report)
     return limits.level(n)
 
@@ -305,11 +312,11 @@ def frequency_table(s: Substitution, a, max_len: int,
     of the stabilizing power.
     """
     # a non-expanding input is reported before any argument error
-    power = stabilizing_power(s)
+    stable = _stabilizing(s)
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     a = _letter_index(s, a)
-    limits = _InducedLimits(s.power(power), a, max_len, tol, max_iter)
+    limits = _InducedLimits(s, stable, a, max_len, tol, max_iter)
     # the factors of each shorter length are keys of their own, not read
     # off the top level: a factor need not lie inside any longer one
     entries: dict[Word, float] = {}
@@ -323,8 +330,8 @@ def frequency_table(s: Substitution, a, max_len: int,
     x1 = [entries[(i,)] for i in range(len(s.alphabet))]
     report = limits.report
     table = FrequencyTable(
-        substitution=s, base_letter=s.alphabet.letters[a], power_used=power,
-        max_len=max_len, entries=entries,
+        substitution=s, base_letter=s.alphabet.letters[a],
+        power_used=stable[0], max_len=max_len, entries=entries,
         growth_rate=sum(float_matvec(limits.m1, x1)),
         iterations=report.iterations,
     )
@@ -341,15 +348,23 @@ def kirchhoff_check(table: FrequencyTable, tol: float = 1e-6) -> KirchhoffReport
     ``frequency_table`` meets the right extension ``sum_a omega(w a)`` by
     construction (up to float rounding), so on such a table this tests the
     left extension: the shift invariance of the limit."""
-    letters = [(i,) for i in range(len(table.substitution.alphabet))]
+    k = len(table.substitution.alphabet)
     entries = table.entries
+    # one pass over the table: lefts[u][b] = omega(b u), rights[u][b] = omega(u b)
+    lefts: dict[Word, list[float]] = {}
+    rights: dict[Word, list[float]] = {}
+    for w, f in entries.items():
+        if len(w) >= 2:
+            lefts.setdefault(w[1:], [0.0] * k)[w[0]] = f
+            rights.setdefault(w[:-1], [0.0] * k)[w[-1]] = f
+    zeros = [0.0] * k
     worst = 0.0
     worst_word = ""
     for w, f in entries.items():
         if len(w) >= table.max_len:
             continue
-        left = sum([entries.get(b + w, 0.0) for b in letters])
-        right = sum([entries.get(w + b, 0.0) for b in letters])
+        left = sum(lefts.get(w, zeros))
+        right = sum(rights.get(w, zeros))
         violation = max(abs(f - left), abs(f - right))
         if violation > worst:
             worst = violation
@@ -364,7 +379,7 @@ def measure_cylinder(s: Substitution, a, word,
     word ``w`` in ``zeta**t(a)``.  Exactly zero for words outside the
     language; the per-length values form a probability assignment."""
     # first, so that a non-expanding input is reported before an argument error
-    zs = s.power(stabilizing_power(s))
+    stable = _stabilizing(s)
     a = _letter_index(s, a)
     if isinstance(word, str):
         word = s.alphabet.encode(word)
@@ -375,6 +390,6 @@ def measure_cylinder(s: Substitution, a, word,
         if not 0 <= i < len(s.alphabet):
             raise ParseError(f"letter index {i} out of range")
     n = len(word)
-    limits = _InducedLimits(zs, a, n, tol, max_iter)
+    limits = _InducedLimits(s, stable, a, n, tol, max_iter)
     _settled_limit(s, a, n, limits.report)
     return limits.level(n).get(word, 0.0)

@@ -431,19 +431,14 @@ def _block_dag_edges(m: ExactMatrix, block_of: Sequence[int],
     return out
 
 
-def _transitive_closure(out: list[set[int]]) -> list[set[int]]:
-    k = len(out)
-    reach: list[set[int]] = [set() for _ in range(k)]
-    for start in range(k):
-        seen = set()
-        frontier = list(out[start])
-        while frontier:
-            v = frontier.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            frontier.extend(out[v])
-        reach[start] = seen
+def _transitive_closure(out: list[set[int]]) -> list[frozenset[int]]:
+    """``reach[a]``: the blocks that a path from block ``a`` reaches.  The
+    blocks come in topological order (every edge ``a -> b`` has ``a < b``),
+    so one backward sweep builds ``reach[a]`` as the union of ``{b}`` and
+    ``reach[b]`` over the edges ``a -> b``."""
+    reach: list[frozenset[int]] = [frozenset()] * len(out)
+    for a in range(len(out) - 1, -1, -1):
+        reach[a] = frozenset(out[a]).union(*[reach[b] for b in out[a]])
     return reach
 
 
@@ -496,7 +491,7 @@ def _build_decomposition(m: ExactMatrix, blocks: list[list[int]],
         perm=tuple(perm),
         spans=tuple(spans),
         classes=tuple(ordered_classes),
-        dependency=tuple(frozenset(reach[a]) for a in range(len(ordered))),
+        dependency=tuple(reach),
         block_index=tuple(new_index[b] for b in block_of),
     )
 

@@ -17,7 +17,8 @@ from .errors import (
     NotExpandingError,
     ParseError,
 )
-from .matrices import ExactMatrix, _frobenius_partition, is_expanding, scc_blocks
+from .matrices import (BlockDecomposition, ExactMatrix, _frobenius_partition,
+                       is_expanding, scc_blocks)
 
 Word = tuple[int, ...]
 
@@ -37,11 +38,13 @@ class Alphabet:
             raise ValueError("alphabet must be non-empty")
         if len(set(self.letters)) != len(self.letters):
             raise ValueError("alphabet letters must be distinct")
-        for ltr in self.letters:
-            if not ltr or any(ch.isspace() for ch in ltr):
-                raise ValueError(f"invalid letter {ltr!r}")
-        self._index = {ltr: k for k, ltr in enumerate(self.letters)}
-        self._single_char = all(len(ltr) == 1 for ltr in self.letters)
+        # a letter is valid iff it is non-empty and holds no whitespace
+        # (str.isspace), that is iff it splits into itself
+        if " ".join(self.letters).split() != list(self.letters):
+            bad = next(ltr for ltr in self.letters if ltr.split() != [ltr])
+            raise ValueError(f"invalid letter {bad!r}")
+        self._index = dict(zip(self.letters, range(len(self.letters))))
+        self._single_char = max(map(len, self.letters)) == 1
 
     def __len__(self):
         return len(self.letters)
@@ -89,11 +92,12 @@ class Substitution:
     def __init__(self, alphabet: Alphabet, images: Sequence[Sequence[int]]):
         if len(images) != len(alphabet):
             raise ValueError("one image per letter required")
-        imgs = tuple(tuple(int(i) for i in img) for img in images)
-        for img in imgs:
-            for i in img:
-                if not 0 <= i < len(alphabet):
-                    raise ValueError(f"letter index {i} out of range")
+        imgs = tuple(tuple(map(int, img)) for img in images)
+        used = set().union(*imgs)
+        if used and (min(used) < 0 or max(used) >= len(alphabet)):
+            bad = next(i for img in imgs for i in img
+                       if not 0 <= i < len(alphabet))
+            raise ValueError(f"letter index {bad} out of range")
         self.alphabet = alphabet
         self.images = imgs
 
@@ -168,11 +172,16 @@ def is_expanding_subst(s: Substitution) -> bool:
 def stabilizing_power(s: Substitution) -> int:
     """Least power making the incidence matrix PB-Frobenius (the
     substitution analogue of passing to a Frobenius-form power)."""
+    return _stabilizing(s)[0]
+
+
+def _stabilizing(s: Substitution) -> tuple[int, ExactMatrix, BlockDecomposition]:
+    """The stabilizing power, the incidence matrix and its decomposition."""
     m = s.incidence_matrix()
     dec = scc_blocks(m)
     if not dec.is_expanding():
         raise NotExpandingError("substitution is not expanding")
-    return _frobenius_partition(m, dec, split_cyclic=False)[0]
+    return _frobenius_partition(m, dec, split_cyclic=False)[0], m, dec
 
 
 def count_occurrences(w: Sequence, u: Sequence) -> int:
@@ -213,55 +222,64 @@ class FactorAlphabet:
         return len(self.words)
 
 
-def _sliding_factors(word: Word, n: int) -> list[Word]:
-    return [word[p:p + n] for p in range(len(word) - n + 1)]
+def _saturate(s: Substitution, n: int, cap: int | None,
+              ) -> tuple[list[str], FactorAlphabet, list[Word | None]]:
+    """The length-n factors of the language, as strings and as a
+    ``FactorAlphabet``, and the blow-up image of each (None if too short).
+
+    Seeds are the length-n windows of ``zeta**K(a_i)``, ``K`` the least
+    power making every image at least ``n`` long; BFS from the first
+    letter's seeds closes them under taking the windows of images.  Each
+    factor's image is computed once: all its windows feed the discovery,
+    the first ``|zeta(x_1)|`` are its blow-up image.  A word is a string of
+    code points ``chr(i)``, so applying ``zeta`` (``str.translate``),
+    slicing and hashing run in C; tuples are built once, at the end."""
+    if not is_expanding_subst(s):
+        raise NotExpandingError("substitution is not expanding")
+    if cap is None:
+        cap = len(s.alphabet) ** n
+    seeds = s.images
+    while min(map(len, seeds)) < n:
+        seeds = [s._guarded_apply(w) for w in seeds]
+    found: dict[str, int] = {}
+    queue: list[str] = []
+
+    def windows(word: str) -> list[str]:
+        ws = [word[p:p + n] for p in range(len(word) - n + 1)]
+        # once the saturation is under way, most images hold no new factor
+        if not found.keys() >= set(ws):
+            for u in ws:
+                if u not in found:
+                    if len(found) >= cap:
+                        raise CapExceededError(f"more than {cap} factors discovered")
+                    found[u] = len(found)
+                    queue.append(u)
+        return ws
+
+    for seed in seeds:
+        windows("".join(map(chr, seed)))
+    table = {i: "".join(map(chr, img)) for i, img in enumerate(s.images)}
+    heads: list[Word | None] = []
+    for word in queue:  # grows while it is walked: breadth first
+        ws = windows(word.translate(table))
+        width = len(s.images[ord(word[0])])
+        heads.append(tuple(map(found.__getitem__, ws[:width]))
+                     if len(ws) >= width else None)
+    fa = FactorAlphabet(n, [tuple(map(ord, u)) for u in queue], s.alphabet)
+    return queue, fa, heads
 
 
 def factor_alphabet(s: Substitution, n: int, cap: int | None = None) -> FactorAlphabet:
-    """All length-n factors of the language, computed by saturation.
-
-    Seeds are the length-n factors of ``zeta**K(a_i)`` where ``K`` is the
-    smallest power making every image at least ``n`` letters long; the seed
-    set is then closed under taking length-n factors of images.  Discovery
-    order (BFS from the first letter's seeds) is deterministic and fixes
-    the coordinates of the blow-up incidence matrix.
-    """
+    """All length-n factors of the language, in the discovery order of the
+    saturation shared with ``blow_up`` (``_saturate``), which fixes the
+    coordinates of the blow-up; ``CapExceededError`` past ``cap`` factors."""
     if n < 1:
         raise ValueError("factor length must be >= 1")
-    if not is_expanding_subst(s):
-        raise NotExpandingError("substitution is not expanding")
-    alphabet = s.alphabet
-    if cap is None:
-        cap = len(alphabet) ** n
     if n == 1:
-        return FactorAlphabet(1, [(i,) for i in range(len(alphabet))], alphabet)
-    lengths = [1] * len(alphabet)
-    k = 0
-    while min(lengths) < n:
-        # |zeta^{k+1}(a_j)| = sum of |zeta^k(a_i)| over the letters i of zeta(a_j)
-        lengths = [sum(lengths[i] for i in img) for img in s.images]
-        k += 1
-    seed_power = s.power(k)
-    found: dict[Word, int] = {}
-    queue: list[Word] = []
-
-    def discover(word: Word) -> None:
-        if word not in found:
-            if len(found) >= cap:
-                raise CapExceededError(f"more than {cap} factors discovered")
-            found[word] = len(found)
-            queue.append(word)
-
-    for letter in range(len(alphabet)):
-        for factor in _sliding_factors(seed_power.images[letter], n):
-            discover(factor)
-    head = 0
-    while head < len(queue):
-        word = queue[head]
-        head += 1
-        for factor in _sliding_factors(s.apply(word), n):
-            discover(factor)
-    return FactorAlphabet(n, queue, alphabet)
+        if not is_expanding_subst(s):
+            raise NotExpandingError("substitution is not expanding")
+        return FactorAlphabet(1, [(i,) for i in range(len(s.alphabet))], s.alphabet)
+    return _saturate(s, n, cap)[1]
 
 
 def blow_up(s: Substitution, n: int) -> tuple[Substitution, FactorAlphabet]:
@@ -269,32 +287,26 @@ def blow_up(s: Substitution, n: int) -> tuple[Substitution, FactorAlphabet]:
 
     The image of ``w = x_1 ... x_n`` is the ordered list of the first
     ``|zeta(x_1)|`` sliding length-n factors of ``zeta(w)``; in particular
-    ``|zeta_n(w)| = |zeta(x_1)|``.
+    ``|zeta_n(w)| = |zeta(x_1)|``.  Letters and images come from the one
+    saturation of ``factor_alphabet``, in its discovery order.
     """
     if n < 2:
         raise ValueError("blow-up level must be >= 2")
-    fa = factor_alphabet(s, n)
-    names = []
-    single = all(len(ltr) == 1 for ltr in s.alphabet.letters)
-    for w in fa.words:
-        if single:
-            names.append("".join(s.alphabet.letters[i] for i in w))
-        else:
-            names.append("(" + ",".join(s.alphabet.letters[i] for i in w) + ")")
+    words, fa, heads = _saturate(s, n, None)
+    # a blow-up letter spells its factor: "abc", or "(x,y,z)"
+    if s.alphabet._single_char:
+        names = [u.translate(s.alphabet.letters) for u in words]
+    else:
+        spell = [ltr + "," for ltr in s.alphabet.letters]
+        names = ["(" + u.translate(spell)[:-1] + ")" for u in words]
     new_alphabet = Alphabet(names)
-    images = []
-    for w in fa.words:
-        image_of_w = s.apply(w)
-        width = len(s.images[w[0]])
-        if len(image_of_w) < width + n - 1:
-            raise ImageTooShortError(
-                f"image of {s.alphabet.decode(w)!r} too short for the "
-                f"{n}-window extraction"
-            )
-        images.append(tuple(
-            fa.index[image_of_w[p:p + n]] for p in range(width)
-        ))
-    return Substitution(new_alphabet, images), fa
+    if None in heads:
+        w = fa.words[heads.index(None)]
+        raise ImageTooShortError(
+            f"image of {s.alphabet.decode(w)!r} too short for the "
+            f"{n}-window extraction"
+        )
+    return Substitution(new_alphabet, heads), fa
 
 
 # ---------------------------------------------------------------------------

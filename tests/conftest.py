@@ -9,14 +9,17 @@ import pytest
 
 from subperron import (
     ExactMatrix,
+    FactorAlphabet,
     Substitution,
     blow_up,
     block_eigenvalues,
     is_expanding,
+    is_expanding_subst,
     normalized_limit,
     scc_blocks,
     stabilizing_power,
 )
+from subperron.words import Alphabet
 
 # the 8x8 reducible fixture with four primitive 2x2 blocks; eigenvalues
 # 2+sqrt(2) (blocks 1, 3) and (3+sqrt(5))/2 (blocks 2, 4)
@@ -124,6 +127,68 @@ def thue_morse(corpus):
 @pytest.fixture(scope="session")
 def aab_bb(corpus):
     return corpus["aab_bb"]
+
+
+def random_expanding(rng: random.Random) -> Substitution:
+    """A random expanding substitution on 2-4 letters with images of 1-4
+    letters, so that some need a further power before every image has
+    length >= 2, and some are reducible."""
+    while True:
+        k = rng.randint(2, 4)
+        images = [[rng.randrange(k) for _ in range(rng.randint(1, 4))]
+                  for _ in range(k)]
+        s = Substitution(Alphabet("abcd"[:k]), images)
+        if is_expanding_subst(s):
+            return s
+
+
+# ---------------------------------------------------------------------------
+# a reference saturation: two passes over tuples of letter indices, one to
+# discover the length-n factors and one to cut the blow-up images
+
+def reference_factor_alphabet(s: Substitution, n: int) -> FactorAlphabet:
+    """The length-n factors of the language (n >= 2): the windows of
+    ``zeta**K(a_i)``, ``K`` the least power with every image at least ``n``
+    long, closed under taking the windows of images, in BFS order."""
+    k, seed_power = 1, s
+    while min(map(len, seed_power.images)) < n:
+        k += 1
+        seed_power = s.power(k)
+    found: dict = {}
+    queue: list = []
+
+    def discover(word):
+        for p in range(len(word) - n + 1):
+            factor = word[p:p + n]
+            if factor not in found:
+                found[factor] = len(found)
+                queue.append(factor)
+
+    for image in seed_power.images:
+        discover(image)
+    head = 0
+    while head < len(queue):
+        discover(s.apply(queue[head]))
+        head += 1
+    return FactorAlphabet(n, queue, s.alphabet)
+
+
+def reference_blow_up(s: Substitution, n: int):
+    """``(letters, images, words)`` of the level-n blow-up: the image of
+    ``w = x_1 ... x_n`` is the first ``|zeta(x_1)|`` windows of
+    ``zeta(w)``, as indices into ``words``."""
+    fa = reference_factor_alphabet(s, n)
+    single = all(len(ltr) == 1 for ltr in s.alphabet.letters)
+    letters = []
+    for w in fa.words:
+        names = [s.alphabet.letters[i] for i in w]
+        letters.append("".join(names) if single else "(" + ",".join(names) + ")")
+    images = []
+    for w in fa.words:
+        image = s.apply(w)
+        images.append(tuple(fa.index[image[p:p + n]]
+                            for p in range(len(s.images[w[0]]))))
+    return tuple(letters), tuple(images), fa.words
 
 
 # ---------------------------------------------------------------------------

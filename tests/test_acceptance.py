@@ -32,7 +32,7 @@ from subperron import (
     scc_blocks,
     stabilizing_power,
 )
-from subperron._linalg import lstsq, nullspace
+from subperron._linalg import lstsq
 from subperron.spectral import float_matvec, l1_dist
 
 LAM_A = 2 + math.sqrt(2)
@@ -157,6 +157,39 @@ def test_criterion_3_exact_oracle_equivalence(random_corpus_200):
     record_criterion(3, ok, f"engine vs exact iterate at t=400 on 200 "
                             f"random matrices, worst l1 distance {worst:.2e}")
     assert ok
+
+
+def nullspace(a, tol: float = 1e-9) -> list[list[float]]:
+    """Basis of the (numerical) null space of ``a`` via row reduction."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    m = [list(map(float, row)) for row in a]
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        piv = max(range(r, rows), key=lambda i: abs(m[i][c]), default=None)
+        if piv is None or abs(m[piv][c]) <= tol:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1.0 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and abs(m[i][c]) > 0.0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [0.0] * cols
+        v[f] = 1.0
+        for row_idx, pc in enumerate(pivots):
+            v[pc] = -m[row_idx][f]
+        basis.append(v)
+    return basis
 
 
 def _eigenvector_candidates(m, lam):

@@ -310,6 +310,16 @@ class TestDecomposeOnce:
         assert code == 0
         assert pf_counts == {"block_eigenvalues": 1, "certify": 1}
 
+    @pytest.mark.parametrize("argv", [
+        ("freq", "fibonacci.sub", "--letter", "a", "--max-len", "3"),
+        ("measure", "fibonacci.sub", "--letter", "a", "--word", "ab"),
+    ])
+    def test_freq_and_measure_decompose_once(self, capsys, counts, argv):
+        # the stabilizing power is 1: its decomposition is the letter limit's
+        code, _, _ = run(capsys, argv[0], self.INPUTS / argv[1], *argv[2:])
+        assert code == 0
+        assert counts == {"scc_blocks": 1, "incidence_matrix": 1}
+
     def test_no_pair_outlives_its_command(self, capsys, pf_counts):
         m8 = ("analyze-matrix", self.INPUTS / "m8.mat", "--json")
         assert run(capsys, *m8)[0] == 0

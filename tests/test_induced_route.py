@@ -15,12 +15,13 @@ from subperron import (
     Substitution,
     factor_alphabet,
     frequency_table,
-    is_expanding_subst,
+    kirchhoff_check,
     stabilizing_power,
     words,
 )
 from subperron.cli import main
-from subperron.words import Alphabet
+
+from conftest import random_expanding
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
 MAX_LEN = 6
@@ -30,19 +31,6 @@ MAX_LEN = 6
 # above a primitive block {c, d} of smaller root
 PRIM4 = [("a", "ccb"), ("b", "acd"), ("c", "aaa"), ("d", "dab")]
 RED4 = [("a", "badb"), ("b", "aab"), ("c", "ddd"), ("d", "cd")]
-
-
-def random_expanding(rng: random.Random) -> Substitution:
-    """A random expanding substitution on 2-4 letters with images of 1-4
-    letters, so that some need a further power before every image has
-    length >= 2, and some are reducible."""
-    while True:
-        k = rng.randint(2, 4)
-        images = [[rng.randrange(k) for _ in range(rng.randint(1, 4))]
-                  for _ in range(k)]
-        s = Substitution(Alphabet("abcd"[:k]), images)
-        if is_expanding_subst(s):
-            return s
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +80,39 @@ def test_keys_are_the_factor_alphabets(cases, tables):
             for n in range(2, MAX_LEN + 1):
                 assert set(_length(tables[name, a], n)) == set(
                     factor_alphabet(zs, n).words), (name, s, a, n)
+
+
+def _two_sum_kirchhoff(table):
+    """``(max_residual, worst_word)`` by the two-sum formula: for each word
+    ``w``, the sums over letters ``b`` of ``omega(b w)`` and ``omega(w b)``,
+    each looked up by concatenation."""
+    letters = [(i,) for i in range(len(table.substitution.alphabet))]
+    entries = table.entries
+    worst, worst_word = 0.0, ""
+    for w, f in entries.items():
+        if len(w) >= table.max_len:
+            continue
+        left = sum([entries.get(b + w, 0.0) for b in letters])
+        right = sum([entries.get(w + b, 0.0) for b in letters])
+        violation = max(abs(f - left), abs(f - right))
+        if violation > worst:
+            worst = violation
+            worst_word = table.substitution.alphabet.decode(w)
+    return worst, worst_word
+
+
+def test_kirchhoff_matches_the_two_sum_formula(corpus, tables):
+    # every corpus base letter (b_over_a based at b too) at max_len 2-6,
+    # and the tables of the random substitutions
+    checked = list(tables.values())
+    for s in corpus.values():
+        for a in range(len(s.alphabet)):
+            checked += [frequency_table(s, a, max_len=n) for n in range(2, 7)]
+    for table in checked:
+        report = kirchhoff_check(table)
+        assert ((report.max_residual, report.worst_word)
+                == _two_sum_kirchhoff(table)), table.substitution
+    assert any(kirchhoff_check(table).max_residual > 0 for table in checked)
 
 
 @pytest.mark.parametrize("rules,base,max_len", [
