@@ -6,9 +6,7 @@ and shift-invariant measures on substitution subshifts."""
 import types as _types
 
 from .errors import (
-    CapExceededError,
     ImageOverflowError,
-    ImageTooShortError,
     MaxIterError,
     NotExpandingError,
     NotPBFrobeniusError,
@@ -36,7 +34,6 @@ from .matrices import (
     is_power_bounded,
     is_primitive,
     load_matrix,
-    mat_pow_apply,
     parse_matrix,
     pb_frobenius_power,
     primitive_frobenius_power,
@@ -64,8 +61,6 @@ from .words import (
     FactorAlphabet,
     Substitution,
     blow_up,
-    count_occurrences,
-    count_occurrences_str,
     factor_alphabet,
     is_expanding_subst,
     load_substitution,

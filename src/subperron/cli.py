@@ -16,7 +16,6 @@ import sys
 from typing import Sequence
 
 from .errors import (
-    CapExceededError,
     ImageOverflowError,
     MaxIterError,
     NotExpandingError,
@@ -44,7 +43,7 @@ from .spectral import (
     principal_blocks,
     principal_eigenvector,
 )
-from .words import blow_up, load_substitution
+from .words import _blow_up, load_substitution
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -181,9 +180,10 @@ def cmd_analyze_matrix(args) -> int:
 def cmd_analyze_subst(args) -> int:
     s = load_substitution(args.file)
     m = s.incidence_matrix()
-    incidence = _matrix_report(m, scc_blocks(m), names=s.alphabet.letters)
-    if not incidence["expanding"]:
+    dec0 = scc_blocks(m)
+    if not dec0.is_expanding():
         raise NotExpandingError("substitution is not expanding")
+    incidence = _matrix_report(m, dec0, names=s.alphabet.letters)
     # the stabilizing power is the incidence matrix's PB-Frobenius exponent
     power = incidence["pb_frobenius_exponent"]
     report = {
@@ -195,7 +195,8 @@ def cmd_analyze_subst(args) -> int:
         "incidence": incidence,
     }
     if args.blowup is not None:
-        zn, fa = blow_up(s.power(power), args.blowup)
+        # the report has shown the input expanding: no gate to run again
+        zn, fa = _blow_up(s.power(power), args.blowup)
         mn = zn.incidence_matrix()
         dec_n = scc_blocks(mn)
         report["blowup"] = {
@@ -307,7 +308,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (NotExpandingError, NotPBFrobeniusError, ZeroColumnError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (MaxIterError, CapExceededError, ImageOverflowError) as exc:
+    except (MaxIterError, ImageOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except SubperronError as exc:

@@ -40,14 +40,5 @@ class MaxIterError(SubperronError):
         self.partial = partial
 
 
-class CapExceededError(SubperronError):
-    """Factor-alphabet saturation exceeded the safety cap."""
-
-
-class ImageTooShortError(SubperronError):
-    """Defensive guard: a substitution image is too short for the blow-up
-    window extraction (cannot occur for expanding substitutions)."""
-
-
 class ImageOverflowError(SubperronError):
     """A substitution power produced an image longer than the safety bound."""

@@ -26,10 +26,10 @@ grows by at most ``(L - 1) / (lam - 1)`` into level 2 and by ``L / lam``
 per level above it, so the letter limit runs at ``tol / C``, ``C`` that
 product over the levels used (at least 1).
 
-The keys of level n are all length-n windows of ``z(v)`` and the seeds of
-``words.factor_alphabet`` with those of the next ``p - 1`` powers of ``zs``
-(``z = zs**p``): exactly the length-n factors of the language.  Keys
-outside the windows counted carry 0.0.
+The keys of level n are ``words._Language(zs).factors(n)``: every length-n
+window of ``z(v)`` over the keys ``v`` of level ``l``, and the seeds,
+which are exactly the length-n factors of the language.  Keys outside the
+windows counted carry 0.0.
 
 A table up to length N takes level N from the recursion and gives each
 shorter word the sum over the level-N words it is a prefix of, so the right
@@ -42,7 +42,6 @@ property of the limit that ``kirchhoff_check`` tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from . import _linalg
 from .errors import MaxIterError, ParseError
@@ -56,7 +55,7 @@ from .spectral import (
     normalized_limit,
     trajectory_growth,
 )
-from .words import Substitution, Word, _stabilizing
+from .words import Substitution, Word, _Language, _stabilizing
 
 
 def _letter_index(s: Substitution, a) -> int:
@@ -144,9 +143,9 @@ class _InducedLimits:
     ``top``, read off the letter limit through the substitution induced on
     length-n words (see the module docstring).  ``report`` is the letter
     limit's, on ``m1``, the incidence matrix of the stabilizing power
-    ``zs``; ``level(n)`` is memoized.  ``stable`` is
-    ``words._stabilizing(s)``, whose matrix and decomposition serve as
-    ``zs``'s when the power is 1."""
+    ``zs``; ``level(n)`` is memoized and keyed by ``language.factors(n)``.
+    ``stable`` is ``words._stabilizing(s)``, whose matrix and decomposition
+    serve as ``zs``'s when the power is 1."""
 
     def __init__(self, s: Substitution,
                  stable: tuple[int, ExactMatrix, BlockDecomposition], a: int,
@@ -157,12 +156,8 @@ class _InducedLimits:
             zs = s.power(power)
             m1 = zs.incidence_matrix()
             dec = scc_blocks(m1)
-        z, self.p = zs, 1
-        while min(map(len, z.images)) < 2:
-            self.p += 1
-            z = zs.power(self.p)
-        self.zs, self.z, self.m1 = zs, z, m1
-        self.shortest = min(map(len, z.images))
+        self.language, self.m1 = _Language(zs), m1
+        z = self.language.z
         amplification = 1.0
         eigenvalues = None
         if top >= 2:
@@ -172,12 +167,12 @@ class _InducedLimits:
             longest = max(len(z.images[c]) for b in {own, *dec.dependency[own]}
                           for c in dec.members(b))
             growth = trajectory_growth(dec, eigenvalues, [a])
-            lam = growth.lam ** self.p
+            lam = growth.lam ** self.language.p
             amplification = (longest - 1) / (lam - 1)
             n = top
             while n > 2:
                 amplification *= longest / lam
-                n = self._source(n)
+                n = self.language.source(n)
         v0 = [0] * self.m1.n
         v0[a] = 1
         self.report = normalized_limit(
@@ -186,12 +181,6 @@ class _InducedLimits:
         f1 = self.report.limit
         self.lam = sum(x * len(w) for x, w in zip(f1, z.images))
         self.levels = {1: {(i,): x for i, x in enumerate(f1)}}
-        self.iterates = [[(i,) for i in range(len(zs.alphabet))]]
-
-    def _source(self, n: int) -> int:
-        """The length ``l = 1 + ceil((n - 1) / m)`` that level ``n >= 3``
-        is read from."""
-        return 2 + (n - 2) // self.shortest
 
     def level(self, n: int) -> dict[Word, float]:
         """``f_n`` on the length-n factors of the language."""
@@ -200,24 +189,15 @@ class _InducedLimits:
         return self.levels[n]
 
     def _pairs(self) -> dict[Word, float]:
-        """``f_2``, from ``(lam I - B) f_2 = A f_1`` over the seed pairs and
-        the straddling pairs they lead to.  The seeds hold every pair
-        inside an image of ``z``."""
-        images = self.z.images
-        pairs = list(dict.fromkeys(self._seeds(2)))
-        index = {w: k for k, w in enumerate(pairs)}
-        straddles = []
-        for c, d in pairs:
-            straddle = (images[c][-1], images[d][0])
-            if straddle not in index:
-                index[straddle] = len(pairs)
-                pairs.append(straddle)
-            straddles.append(index[straddle])
+        """``f_2``, from ``(lam I - B) f_2 = A f_1`` over the pairs."""
+        images = self.language.z.images
+        pairs = self.language.factors(2)
+        index = dict(zip(pairs, range(len(pairs))))
         k = len(pairs)
         a = [[0.0] * k for _ in range(k)]
-        for j, i in enumerate(straddles):
+        for j, (c, d) in enumerate(pairs):
             a[j][j] += self.lam
-            a[i][j] -= 1.0
+            a[index[images[c][-1], images[d][0]]][j] -= 1.0
         rhs = [0.0] * k
         for x, img in zip(self.levels[1].values(), images):
             for w in zip(img, img[1:]):
@@ -225,42 +205,16 @@ class _InducedLimits:
         return dict(zip(pairs, _linalg.solve(a, rhs)))
 
     def _windows(self, n: int) -> dict[Word, float]:
-        """``f_n``, ``n >= 3``: ``N_n f_l`` over its sum.  The windows of
-        ``z(v)`` that start after ``z(v_1)``, and the seeds, are keys."""
-        images = self.z.images
-        f: dict[Word, float] = {}
-        for v, x in self.level(self._source(n)).items():
-            image = self.z.apply(v)
-            head = len(images[v[0]])
-            for j in range(head):
-                w = image[j:j + n]
-                f[w] = f.get(w, 0.0) + x
-            for j in range(head, len(image) - n + 1):
-                f.setdefault(image[j:j + n], 0.0)
+        """``f_n``, ``n >= 3``: ``N_n f_l`` over its sum."""
+        z, shorter = self.language.z, self.language.source(n)
+        f = dict.fromkeys(self.language.factors(n), 0.0)
+        for (v, x), image in zip(self.level(shorter).items(),
+                                 self.language.images(shorter)):
+            if x:
+                for j in range(len(z.images[v[0]])):
+                    f[image[j:j + n]] += x
         total = sum(f.values())
-        f = {w: x / total for w, x in f.items()}
-        for w in self._seeds(n):
-            f.setdefault(w, 0.0)
-        return f
-
-    def _seeds(self, n: int) -> Iterator[Word]:
-        """The length-n windows of ``zs**(K + r)(a_i)`` for ``r < p``
-        (``z = zs**p``), ``K`` the least power at which every such word has
-        ``n`` letters.  At ``r = 0`` these are the seeds of
-        ``words.factor_alphabet``.  A length-n factor of ``zs**t(a_i)``,
-        ``t >= K + p``, is a window of ``z(v)`` for a length-l factor ``v``
-        of ``zs**(t - p)(a_i)``, so these and the windows of ``_windows``
-        are all the length-n factors of the language."""
-        its = self.iterates
-        while min(map(len, its[-1])) < n:
-            its.append([self.zs._guarded_apply(w) for w in its[-1]])
-        k = next(k for k, ws in enumerate(its) if min(map(len, ws)) >= n)
-        while len(its) < k + self.p:
-            its.append([self.zs._guarded_apply(w) for w in its[-1]])
-        for ws in its[k:k + self.p]:
-            for word in ws:
-                for j in range(len(word) - n + 1):
-                    yield word[j:j + n]
+        return {w: x / total for w, x in f.items()}
 
 
 def letter_frequencies(s: Substitution, a, tol: float = DEFAULT_TOL,
@@ -321,7 +275,7 @@ def frequency_table(s: Substitution, a, max_len: int,
     # off the top level: a factor need not lie inside any longer one
     entries: dict[Word, float] = {}
     for n in range(1, max_len):
-        entries.update(dict.fromkeys(limits.level(n), 0.0))
+        entries.update(dict.fromkeys(limits.language.factors(n), 0.0))
     top = limits.level(max_len)
     entries.update(top)
     for w, f in top.items():

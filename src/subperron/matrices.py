@@ -136,29 +136,6 @@ class ExactMatrix:
             for i in indices
         ])
 
-    def has_zero_column(self) -> bool:
-        return len({j for row in self.rows for j, _ in row}) < self.n
-
-    def max_entry(self) -> int:
-        return max((x for row in self.rows for _, x in row), default=0)
-
-    def is_entrywise_positive(self) -> bool:
-        return all(len(row) == self.n for row in self.rows)
-
-
-def mat_pow_apply(m: ExactMatrix, v: Sequence[int], t: int) -> IntVector:
-    """Exact iterate ``M**t @ v`` with arbitrary-precision integers.
-
-    This is the oracle used by every convergence test: binary matrix
-    powering keeps it bit-exact and independent of the step-by-step
-    iteration used elsewhere.
-    """
-    if len(v) != m.n:
-        raise ValueError("dimension mismatch")
-    if t < 0:
-        raise ValueError("exponent must be non-negative")
-    return m.pow(t).apply(tuple(int(x) for x in v))
-
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -219,12 +196,6 @@ class BlockClass(Enum):
     #: Irreducible with period >= 2 and spectral radius > 1.  Not a legal
     #: PB-Frobenius block; callers must raise the matrix to a power.
     IMPRIMITIVE = "imprimitive"
-
-    @property
-    def is_pb(self) -> bool:
-        """Power bounded in the wide sense (1x1 blocks with entry 0 or 1
-        count as PB, not as primitive)."""
-        return self in (BlockClass.POWER_BOUNDED, BlockClass.ZERO_ONE)
 
 
 @dataclass(frozen=True)

@@ -532,11 +532,13 @@ def principal_eigenvector(m: ExactMatrix, dec: BlockDecomposition,
         x = _linalg.solve(a, u)
         for idx, val in zip(dep_indices, x):
             v[idx] = val
+    # relative to ||M v|| ~ lam ||v||: a huge root leaves a large absolute
+    # rounding residual
     residual = l1_dist(float_matvec(m, v), [lam * c for c in v])
-    if residual > tol * l1_norm(v):
+    if residual > tol * lam * l1_norm(v):
         raise SubperronError(
             f"principal eigenvector residual {residual:.3e} exceeds "
-            f"{tol:.1e} * ||v||; upstream misclassification likely"
+            f"{tol:.1e} * lam * ||v||; upstream misclassification likely"
         )
     return PrincipalEigenvector(
         block=i, eigenvalue=lam, vector=tuple(v),

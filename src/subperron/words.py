@@ -8,15 +8,9 @@ words by concatenation.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    CapExceededError,
-    ImageOverflowError,
-    ImageTooShortError,
-    NotExpandingError,
-    ParseError,
-)
+from .errors import ImageOverflowError, NotExpandingError, ParseError
 from .matrices import (BlockDecomposition, ExactMatrix, _frobenius_partition,
                        is_expanding, scc_blocks)
 
@@ -125,9 +119,6 @@ class Substitution:
             out.extend(self.images[i])
         return tuple(out)
 
-    def apply_str(self, text: str) -> str:
-        return self.alphabet.decode(self.apply(self.alphabet.encode(text)))
-
     def _guarded_apply(self, word: Sequence[int]) -> Word:
         # predict the length before materializing anything huge
         new_len = sum(len(self.images[i]) for i in word)
@@ -135,13 +126,6 @@ class Substitution:
             raise ImageOverflowError(f"image length {new_len} exceeds "
                                      f"{MAX_IMAGE_LENGTH}")
         return self.apply(word)
-
-    def iterate_letter(self, letter: int, t: int) -> Word:
-        """The word ``zeta**t(a)`` for a single letter."""
-        word: Word = (letter,)
-        for _ in range(t):
-            word = self._guarded_apply(word)
-        return word
 
     def power(self, t: int) -> "Substitution":
         """The substitution ``zeta**t`` (images are the t-th iterates)."""
@@ -184,31 +168,84 @@ def _stabilizing(s: Substitution) -> tuple[int, ExactMatrix, BlockDecomposition]
     return _frobenius_partition(m, dec, split_cyclic=False)[0], m, dec
 
 
-def count_occurrences(w: Sequence, u: Sequence) -> int:
-    """Number of (possibly overlapping) occurrences of ``u`` as a factor
-    of ``w``."""
-    k = len(u)
-    if k < 1:
-        raise ValueError("pattern must be non-empty")
-    u = tuple(u) if not isinstance(u, str) else u
-    w = tuple(w) if not isinstance(w, str) else w
-    return sum(1 for p in range(len(w) - k + 1) if w[p:p + k] == u)
+class _Language:
+    """The length-n factors of the language of an expanding substitution
+    ``zs``, one length at a time (``factors(n)`` and their images under
+    ``z``, ``images(n)``, are memoized).
 
+    ``z = zs**p`` is the least power whose images all have length >= 2 and
+    ``shortest`` its shortest image length.  Level 1 is the letters; level 2
+    the seed pairs closed under straddles (the last letter of ``z(c)`` and
+    the first of ``z(d)``, for a pair ``cd``); level ``n >= 3`` every window
+    of ``z(v)`` over the factors ``v`` of length ``source(n)``, and the
+    seeds.  A length-n factor of ``zs**t(a_i)``, ``t >= K + p`` (``K`` as in
+    ``seeds``), lies inside ``z(v)`` for a length-``source(n)`` factor ``v``
+    of ``zs**(t - p)(a_i)``, or straddles two images when ``n = 2``, so
+    these are all of them.  Keys come in order of first appearance."""
 
-def count_occurrences_str(w: str, u: str) -> int:
-    """Overlap-counting occurrence count for long strings (find loop)."""
-    if not u:
-        raise ValueError("pattern must be non-empty")
-    count = 0
-    p = w.find(u)
-    while p != -1:
-        count += 1
-        p = w.find(u, p + 1)
-    return count
+    def __init__(self, zs: Substitution):
+        z, self.p = zs, 1
+        while min(map(len, z.images)) < 2:
+            self.p += 1
+            z = zs.power(self.p)
+        self.zs, self.z = zs, z
+        self.shortest = min(map(len, z.images))
+        self._iterates = [[(i,) for i in range(len(zs.alphabet))]]
+        self._levels: dict[int, tuple[Word, ...]] = {1: tuple(self._iterates[0])}
+        self._images: dict[int, list[Word]] = {}
+
+    def source(self, n: int) -> int:
+        """The length ``l = 1 + ceil((n - 1) / m)`` whose images under ``z``
+        hold the length-``n`` factors, ``n >= 3``: a window that starts in
+        ``z(v_1)`` ends inside ``z(v_l)``."""
+        return 2 + (n - 2) // self.shortest
+
+    def factors(self, n: int) -> tuple[Word, ...]:
+        if n not in self._levels:
+            found = dict.fromkeys(self.seeds(n))
+            if n == 2:
+                z = self.z.images
+                queue = list(found)
+                for c, d in queue:  # grows while it is walked
+                    straddle = (z[c][-1], z[d][0])
+                    if straddle not in found:
+                        found[straddle] = None
+                        queue.append(straddle)
+            else:
+                windows: dict[Word, None] = {}
+                for image in self.images(self.source(n)):
+                    for j in range(len(image) - n + 1):
+                        windows[image[j:j + n]] = None
+                windows.update(found)
+                found = windows
+            self._levels[n] = tuple(found)
+        return self._levels[n]
+
+    def images(self, n: int) -> list[Word]:
+        """The images under ``z`` of the length-n factors, in their order."""
+        if n not in self._images:
+            self._images[n] = list(map(self.z.apply, self.factors(n)))
+        return self._images[n]
+
+    def seeds(self, n: int) -> Iterator[Word]:
+        """The length-n windows of ``zs**(K + r)(a_i)`` for ``r < p``, ``K``
+        the least power at which every such word has ``n`` letters.  At
+        ``n = 2``, ``K = p``: they hold every pair inside an image of ``z``."""
+        its = self._iterates
+        while min(map(len, its[-1])) < n:
+            its.append([self.zs._guarded_apply(w) for w in its[-1]])
+        k = next(k for k, ws in enumerate(its) if min(map(len, ws)) >= n)
+        while len(its) < k + self.p:
+            its.append([self.zs._guarded_apply(w) for w in its[-1]])
+        for ws in its[k:k + self.p]:
+            for word in ws:
+                for j in range(len(word) - n + 1):
+                    yield word[j:j + n]
 
 
 class FactorAlphabet:
-    """The set of length-n factors of the language, in discovery order."""
+    """The set of length-n factors of the language, in increasing order of
+    their index tuples."""
 
     __slots__ = ("n", "words", "index", "alphabet")
 
@@ -222,64 +259,14 @@ class FactorAlphabet:
         return len(self.words)
 
 
-def _saturate(s: Substitution, n: int, cap: int | None,
-              ) -> tuple[list[str], FactorAlphabet, list[Word | None]]:
-    """The length-n factors of the language, as strings and as a
-    ``FactorAlphabet``, and the blow-up image of each (None if too short).
-
-    Seeds are the length-n windows of ``zeta**K(a_i)``, ``K`` the least
-    power making every image at least ``n`` long; BFS from the first
-    letter's seeds closes them under taking the windows of images.  Each
-    factor's image is computed once: all its windows feed the discovery,
-    the first ``|zeta(x_1)|`` are its blow-up image.  A word is a string of
-    code points ``chr(i)``, so applying ``zeta`` (``str.translate``),
-    slicing and hashing run in C; tuples are built once, at the end."""
-    if not is_expanding_subst(s):
-        raise NotExpandingError("substitution is not expanding")
-    if cap is None:
-        cap = len(s.alphabet) ** n
-    seeds = s.images
-    while min(map(len, seeds)) < n:
-        seeds = [s._guarded_apply(w) for w in seeds]
-    found: dict[str, int] = {}
-    queue: list[str] = []
-
-    def windows(word: str) -> list[str]:
-        ws = [word[p:p + n] for p in range(len(word) - n + 1)]
-        # once the saturation is under way, most images hold no new factor
-        if not found.keys() >= set(ws):
-            for u in ws:
-                if u not in found:
-                    if len(found) >= cap:
-                        raise CapExceededError(f"more than {cap} factors discovered")
-                    found[u] = len(found)
-                    queue.append(u)
-        return ws
-
-    for seed in seeds:
-        windows("".join(map(chr, seed)))
-    table = {i: "".join(map(chr, img)) for i, img in enumerate(s.images)}
-    heads: list[Word | None] = []
-    for word in queue:  # grows while it is walked: breadth first
-        ws = windows(word.translate(table))
-        width = len(s.images[ord(word[0])])
-        heads.append(tuple(map(found.__getitem__, ws[:width]))
-                     if len(ws) >= width else None)
-    fa = FactorAlphabet(n, [tuple(map(ord, u)) for u in queue], s.alphabet)
-    return queue, fa, heads
-
-
-def factor_alphabet(s: Substitution, n: int, cap: int | None = None) -> FactorAlphabet:
-    """All length-n factors of the language, in the discovery order of the
-    saturation shared with ``blow_up`` (``_saturate``), which fixes the
-    coordinates of the blow-up; ``CapExceededError`` past ``cap`` factors."""
+def factor_alphabet(s: Substitution, n: int) -> FactorAlphabet:
+    """All length-n factors of the language, in increasing order of their
+    index tuples, which fixes the coordinates of the blow-up."""
     if n < 1:
         raise ValueError("factor length must be >= 1")
-    if n == 1:
-        if not is_expanding_subst(s):
-            raise NotExpandingError("substitution is not expanding")
-        return FactorAlphabet(1, [(i,) for i in range(len(s.alphabet))], s.alphabet)
-    return _saturate(s, n, cap)[1]
+    if not is_expanding_subst(s):
+        raise NotExpandingError("substitution is not expanding")
+    return FactorAlphabet(n, sorted(_Language(s).factors(n)), s.alphabet)
 
 
 def blow_up(s: Substitution, n: int) -> tuple[Substitution, FactorAlphabet]:
@@ -287,26 +274,38 @@ def blow_up(s: Substitution, n: int) -> tuple[Substitution, FactorAlphabet]:
 
     The image of ``w = x_1 ... x_n`` is the ordered list of the first
     ``|zeta(x_1)|`` sliding length-n factors of ``zeta(w)``; in particular
-    ``|zeta_n(w)| = |zeta(x_1)|``.  Letters and images come from the one
-    saturation of ``factor_alphabet``, in its discovery order.
+    ``|zeta_n(w)| = |zeta(x_1)|``.  Letters are the factors in the order of
+    ``factor_alphabet``.
     """
+    # a level below 2 is reported first, by ``_blow_up``
+    if n >= 2 and not is_expanding_subst(s):
+        raise NotExpandingError("substitution is not expanding")
+    return _blow_up(s, n)
+
+
+def _blow_up(s: Substitution, n: int) -> tuple[Substitution, FactorAlphabet]:
+    """``blow_up`` of a substitution known to be expanding.  A word is a
+    string of code points ``chr(i)``, so applying ``zeta``
+    (``str.translate``), slicing and hashing run in C.  An expanding
+    substitution erases no letter, so the windows always fit."""
     if n < 2:
         raise ValueError("blow-up level must be >= 2")
-    words, fa, heads = _saturate(s, n, None)
+    fa = FactorAlphabet(n, sorted(_Language(s).factors(n)), s.alphabet)
+    words = ["".join(map(chr, w)) for w in fa.words]
+    index = dict(zip(words, range(len(words))))
+    table = {i: "".join(map(chr, img)) for i, img in enumerate(s.images)}
+    heads = []
+    for u in words:
+        image = u.translate(table)
+        heads.append(tuple(index[image[j:j + n]]
+                           for j in range(len(s.images[ord(u[0])]))))
     # a blow-up letter spells its factor: "abc", or "(x,y,z)"
     if s.alphabet._single_char:
         names = [u.translate(s.alphabet.letters) for u in words]
     else:
         spell = [ltr + "," for ltr in s.alphabet.letters]
         names = ["(" + u.translate(spell)[:-1] + ")" for u in words]
-    new_alphabet = Alphabet(names)
-    if None in heads:
-        w = fa.words[heads.index(None)]
-        raise ImageTooShortError(
-            f"image of {s.alphabet.decode(w)!r} too short for the "
-            f"{n}-window extraction"
-        )
-    return Substitution(new_alphabet, heads), fa
+    return Substitution(Alphabet(names), heads), fa
 
 
 # ---------------------------------------------------------------------------

@@ -143,13 +143,77 @@ def random_expanding(rng: random.Random) -> Substitution:
 
 
 # ---------------------------------------------------------------------------
+# independent oracles: exact iterates, words and occurrence counts, entry
+# checks
+
+def mat_pow_apply(m: ExactMatrix, v, t: int) -> tuple:
+    """Exact iterate ``M**t @ v`` with arbitrary-precision integers, by
+    binary matrix powering: bit-exact and independent of the step-by-step
+    iteration under test."""
+    if len(v) != m.n:
+        raise ValueError("dimension mismatch")
+    if t < 0:
+        raise ValueError("exponent must be non-negative")
+    return m.pow(t).apply(tuple(int(x) for x in v))
+
+
+def apply_str(s: Substitution, text: str) -> str:
+    """The image of a word given and returned as text."""
+    return s.alphabet.decode(s.apply(s.alphabet.encode(text)))
+
+
+def iterate_letter(s: Substitution, letter: int, t: int) -> tuple:
+    """The word ``zeta**t(a)`` for a single letter."""
+    word = (letter,)
+    for _ in range(t):
+        word = s.apply(word)
+    return word
+
+
+def count_occurrences(w, u) -> int:
+    """Number of (possibly overlapping) occurrences of ``u`` as a factor of
+    ``w``."""
+    k = len(u)
+    if k < 1:
+        raise ValueError("pattern must be non-empty")
+    u = tuple(u) if not isinstance(u, str) else u
+    w = tuple(w) if not isinstance(w, str) else w
+    return sum(1 for p in range(len(w) - k + 1) if w[p:p + k] == u)
+
+
+def count_occurrences_str(w: str, u: str) -> int:
+    """Overlap-counting occurrence count for long strings (find loop)."""
+    if not u:
+        raise ValueError("pattern must be non-empty")
+    count = 0
+    p = w.find(u)
+    while p != -1:
+        count += 1
+        p = w.find(u, p + 1)
+    return count
+
+
+def has_zero_column(m: ExactMatrix) -> bool:
+    return len({j for row in m.rows for j, _ in row}) < m.n
+
+
+def max_entry(m: ExactMatrix) -> int:
+    return max((x for row in m.rows for _, x in row), default=0)
+
+
+def is_entrywise_positive(m: ExactMatrix) -> bool:
+    return all(len(row) == m.n for row in m.rows)
+
+
+# ---------------------------------------------------------------------------
 # a reference saturation: two passes over tuples of letter indices, one to
 # discover the length-n factors and one to cut the blow-up images
 
 def reference_factor_alphabet(s: Substitution, n: int) -> FactorAlphabet:
     """The length-n factors of the language (n >= 2): the windows of
     ``zeta**K(a_i)``, ``K`` the least power with every image at least ``n``
-    long, closed under taking the windows of images, in BFS order."""
+    long, closed under taking the windows of images, in increasing order
+    of their index tuples."""
     k, seed_power = 1, s
     while min(map(len, seed_power.images)) < n:
         k += 1
@@ -170,7 +234,7 @@ def reference_factor_alphabet(s: Substitution, n: int) -> FactorAlphabet:
     while head < len(queue):
         discover(s.apply(queue[head]))
         head += 1
-    return FactorAlphabet(n, queue, s.alphabet)
+    return FactorAlphabet(n, sorted(queue), s.alphabet)
 
 
 def reference_blow_up(s: Substitution, n: int):
@@ -245,7 +309,7 @@ def random_primitive_block(rng: random.Random, size: int, max_entry: int = 3):
         rows = [[rng.randint(0, max_entry) if rng.random() < 0.6 else 0
                  for _ in range(size)] for _ in range(size)]
         m = ExactMatrix(rows)
-        if is_primitive(m) and m.max_entry() >= (2 if size == 1 else 1):
+        if is_primitive(m) and max(map(max, rows)) >= (2 if size == 1 else 1):
             return rows
 
 

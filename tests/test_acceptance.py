@@ -12,19 +12,17 @@ below it checks the same starts through the cached runs of ``deep_runs_m8``.
 import math
 import random
 
-from conftest import record_criterion
+from conftest import count_occurrences_str, mat_pow_apply, record_criterion
 from subperron import (
     ExactMatrix,
     block_eigenvalues,
     blow_up,
-    count_occurrences_str,
     dominant_interior_contains,
     eigencone_membership,
     factor_frequencies,
     frequency_table,
     growth_type,
     kirchhoff_check,
-    mat_pow_apply,
     normalized_limit,
     power_eigenvector_lift,
     principal_blocks,

@@ -16,6 +16,12 @@ FIB = "a -> ab\nb -> a\n"
 AAB = "a -> aab\nb -> bb\n"
 TM = "a -> ab\nb -> ba\n"
 NONEXP = "a -> ab\nb -> b\n"
+# a 7-cycle and an 11-cycle of letters under x -> xya, y -> xh: not
+# expanding, and the PF root of its principal block is phi**77, about 1.2e16
+PERM711 = "".join(
+    [f"{c} -> {cycle[(k + 1) % len(cycle)]}\n"
+     for cycle in ("abcdefg", "hijklmnopqr") for k, c in enumerate(cycle)]
+    + ["x -> xya\n", "y -> xh\n"])
 M8_TEXT = (
     "3 1 0 0 0 0 0 0\n1 1 0 0 0 0 0 0\n1 2 2 1 0 0 0 0\n1 1 1 1 0 0 0 0\n"
     "4 0 0 0 3 1 0 0\n1 1 0 0 1 1 0 0\n0 3 1 3 2 3 2 1\n1 1 2 1 0 4 1 1\n"
@@ -147,6 +153,23 @@ class TestAnalyzeSubst:
         code, _, err = run(capsys, "analyze-subst", workdir / "nonexp.sub")
         assert code == 3
         assert "expanding" in err
+
+    def test_non_expanding_exits_3_before_the_report(self, capsys, tmp_path):
+        # the report's principal eigenvector has a residual of about 2.8
+        # (2e-16 of its root): the expanding gate decides first
+        sub = tmp_path / "perm711.sub"
+        sub.write_text(PERM711)
+        code, out, err = run(capsys, "analyze-subst", sub, "--json")
+        assert (code, out) == (3, "")
+        assert "not expanding" in err
+        mat = tmp_path / "perm711.mat"
+        rows = words.parse_substitution(PERM711).incidence_matrix().entries
+        mat.write_text("".join(" ".join(map(str, r)) + "\n" for r in rows))
+        code, out, _ = run(capsys, "analyze-matrix", mat, "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["expanding"] is False
+        assert report["principal_eigenvectors"][0]["eigenvalue"] > 1e16
 
     def test_reducible_block_order(self, capsys, workdir):
         code, out, _ = run(capsys, "analyze-subst", workdir / "aab.sub", "--json")
@@ -339,6 +362,14 @@ class TestDecomposeOnce:
                          self.INPUTS / "fibonacci.sub", "--json")
         assert code == 0
         assert counts == {"scc_blocks": 1, "incidence_matrix": 1}
+
+    def test_analyze_subst_blowup(self, capsys, counts):
+        # the letter matrix and the blow-up's: the report has shown the
+        # input expanding, so the blow-up runs no gate of its own
+        code, _, _ = run(capsys, "analyze-subst", self.INPUTS / "case3.sub",
+                         "--json", "--blowup", "3")
+        assert code == 0
+        assert counts == {"scc_blocks": 2, "incidence_matrix": 2}
 
     def test_stabilizing_power(self, fib, counts):
         assert stabilizing_power(fib) == 1

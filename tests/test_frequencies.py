@@ -10,7 +10,6 @@ from subperron import (
     ParseError,
     Substitution,
     blow_up,
-    count_occurrences_str,
     factor_alphabet,
     factor_frequencies,
     frequency_table,
@@ -22,6 +21,8 @@ from subperron import (
 )
 from subperron.frequencies import FrequencyTable
 from subperron.spectral import _Trajectory, float_matvec, l1_dist
+
+from conftest import count_occurrences_str, iterate_letter
 
 PHI = (1 + math.sqrt(5)) / 2
 F_AB = (3 - math.sqrt(5)) / 2          # fibonacci pair frequencies
@@ -250,7 +251,7 @@ class TestCountBridge:
         # sliding-window count frequencies of zeta^t(a) up to window edge
         # effects of size n / |zeta^t(a)|, even far from the limit
         t = 17
-        word = aab_bb.alphabet.decode(aab_bb.iterate_letter(0, t))
+        word = aab_bb.alphabet.decode(iterate_letter(aab_bb, 0, t))
         assert len(word) >= 10**6
         sn, fa = blow_up(aab_bb, 2)
         mn = sn.incidence_matrix()

@@ -146,7 +146,7 @@ def test_tolerance_bound_skips_letters_the_base_never_reaches(
 
 
 def test_freq_and_measure_build_no_blow_up(capsys, monkeypatch):
-    calls = {"blow_up": 0, "factor_alphabet": 0}
+    calls = {"_blow_up": 0, "factor_alphabet": 0}
     for name in calls:
         original = getattr(words, name)
 
@@ -162,9 +162,9 @@ def test_freq_and_measure_build_no_blow_up(capsys, monkeypatch):
     assert main(["freq", sub, "--letter", "a", "--max-len", "8"]) == 0
     assert main(["measure", sub, "--letter", "a", "--word", "abacaba"]) == 0
     capsys.readouterr()
-    assert calls == {"blow_up": 0, "factor_alphabet": 0}
+    assert calls == {"_blow_up": 0, "factor_alphabet": 0}
     assert main(["analyze-subst", sub, "--blowup", "3"]) == 0
-    assert calls["blow_up"] == 1
+    assert calls["_blow_up"] == 1
 
 
 class TestNoSeedWord:

@@ -11,13 +11,13 @@ from subperron import (
     is_expanding,
     is_power_bounded,
     is_primitive,
-    mat_pow_apply,
     parse_matrix,
     pb_frobenius_power,
     primitive_frobenius_power,
     scc_blocks,
 )
-from conftest import random_pb_frobenius_expanding
+from conftest import (has_zero_column, is_entrywise_positive, mat_pow_apply,
+                      max_entry, random_pb_frobenius_expanding)
 
 
 def e(n, i):
@@ -126,7 +126,7 @@ class TestIsPrimitive:
             wielandt = False
             for _ in range(bound):
                 power = power @ m
-                if power.is_entrywise_positive():
+                if is_entrywise_positive(power):
                     wielandt = True
                     break
             assert wielandt == is_primitive(m)
@@ -163,7 +163,7 @@ class TestIsPowerBounded:
             max_long = 0
             for t in range(1, 4 * n * n + 1):
                 power = power @ m
-                top = power.max_entry()
+                top = max_entry(power)
                 if t <= 2 * n * n:
                     max_short = max(max_short, top)
                 max_long = max(max_long, top)
@@ -345,7 +345,7 @@ class TestOffDiagonalPositivity:
         while count < 6:
             m = random_pb_frobenius_expanding(rng, max_n=5)
             dec = scc_blocks(m)
-            if not dec.is_primitive_frobenius() or m.has_zero_column():
+            if not dec.is_primitive_frobenius() or has_zero_column(m):
                 continue
             count += 1
             self._assert_positivity(m)

@@ -1,7 +1,7 @@
-"""The one-pass saturation of ``factor_alphabet`` and ``blow_up`` against
-the two-pass tuple reference in ``conftest``, the one-sweep block closure
-of ``scc_blocks`` against brute-force reachability, and the fast letter
-and index checks of ``Alphabet`` and ``Substitution``."""
+"""The factor engine of ``factor_alphabet`` and ``blow_up`` against the
+breadth-first reference saturation in ``conftest``, the one-sweep block
+closure of ``scc_blocks`` against brute-force reachability, and the fast
+letter and index checks of ``Alphabet`` and ``Substitution``."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import re
 import pytest
 
 from subperron import (
-    CapExceededError,
     Substitution,
     blow_up,
     factor_alphabet,
@@ -89,13 +88,6 @@ def test_factor_alphabet_matches_the_reference(corpus):
         for n in range(2, 7):
             assert (factor_alphabet(s, n).words
                     == reference_factor_alphabet(s, n).words)
-
-
-def test_cap_counts_discovered_factors(fib):
-    # fibonacci has n + 1 factors of each length n
-    assert len(factor_alphabet(fib, 5, cap=6)) == 6
-    with pytest.raises(CapExceededError):
-        factor_alphabet(fib, 5, cap=5)
 
 
 def _brute_force_reach(m, dec):

@@ -18,7 +18,6 @@ from subperron import (
     eigencone_membership,
     frequency_table,
     growth_type,
-    mat_pow_apply,
     normalized_limit,
     pf_eigen_block,
     power_eigenvector_lift,
@@ -27,6 +26,8 @@ from subperron import (
     scc_blocks,
 )
 from subperron.spectral import _Trajectory, l1_dist, float_matvec, trajectory_growth
+
+from conftest import mat_pow_apply
 
 PHI = (1 + math.sqrt(5)) / 2
 LAM_A = 2 + math.sqrt(2)
