@@ -6,6 +6,7 @@ and shift-invariant measures on substitution subshifts."""
 import types as _types
 
 from .errors import (
+    FloatRangeError,
     ImageOverflowError,
     MaxIterError,
     NotExpandingError,

@@ -7,11 +7,24 @@ are entirely adequate.
 
 from __future__ import annotations
 
+import sys
+from functools import reduce
+from operator import add
+
 from .errors import SingularSystemError
 
 Matrix = list[list[float]]
 
 PIVOT_TOL = 1e-12
+
+if sys.version_info >= (3, 12):
+    def lsum(xs) -> float:
+        """The sum of floats, added left to right from 0.0.  The builtin
+        ``sum`` compensates the rounding from Python 3.12 on, so the
+        printed reports would change their last bits with the version."""
+        return reduce(add, xs, 0.0)
+else:
+    lsum = sum  # adds floats left to right, in C
 
 
 def solve(a: Matrix, b: list[float]) -> list[float]:
@@ -34,7 +47,7 @@ def solve(a: Matrix, b: list[float]) -> list[float]:
                     aug[r][c] -= f * aug[col][c]
     x = [0.0] * n
     for r in range(n - 1, -1, -1):
-        s = aug[r][n] - sum(aug[r][c] * x[c] for c in range(r + 1, n))
+        s = aug[r][n] - lsum(aug[r][c] * x[c] for c in range(r + 1, n))
         x[r] = s / aug[r][r]
     return x
 
@@ -43,9 +56,9 @@ def lstsq(a: Matrix, b: list[float]) -> list[float]:
     """Least squares via normal equations (adequate at this scale)."""
     rows = len(a)
     cols = len(a[0])
-    ata = [[sum(a[r][i] * a[r][j] for r in range(rows)) for j in range(cols)]
+    ata = [[lsum(a[r][i] * a[r][j] for r in range(rows)) for j in range(cols)]
            for i in range(cols)]
-    atb = [sum(a[r][i] * b[r] for r in range(rows)) for i in range(cols)]
+    atb = [lsum(a[r][i] * b[r] for r in range(rows)) for i in range(cols)]
     # ridge-free solve; fall back to a tiny regularization on singularity
     try:
         return solve(ata, atb)
@@ -63,8 +76,8 @@ def nnls(a: Matrix, b: list[float], max_iter: int | None = None) -> list[float]:
     x = [0.0] * cols
     passive: set[int] = set()
     for _ in range(max_iter):
-        resid = [b[r] - sum(a[r][j] * x[j] for j in range(cols)) for r in range(rows)]
-        w = [sum(a[r][j] * resid[r] for r in range(rows)) for j in range(cols)]
+        resid = [b[r] - lsum(a[r][j] * x[j] for j in range(cols)) for r in range(rows)]
+        w = [lsum(a[r][j] * resid[r] for r in range(rows)) for j in range(cols)]
         candidates = [j for j in range(cols) if j not in passive]
         if not candidates or max(w[j] for j in candidates) <= 1e-13:
             return x

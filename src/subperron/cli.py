@@ -3,8 +3,9 @@ JSON/text reports.
 
 Exit-code contract: 0 success, 2 parse error, 3 hypothesis violated (input
 not expanding, or not in the required Frobenius form), 4 iteration or
-resource budget exceeded.  All floats in reports are printed with 12
-significant digits so that identical inputs produce byte-identical output.
+resource budget exceeded, or a value beyond float range.  All floats in
+reports are printed with 12 significant digits so that identical inputs
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from typing import Sequence
 
 from .errors import (
+    FloatRangeError,
     ImageOverflowError,
     MaxIterError,
     NotExpandingError,
@@ -79,7 +81,11 @@ def _matrix_report(m: ExactMatrix, dec0: BlockDecomposition,
     powers, eigenvalues, growth types, principal blocks and eigenvectors."""
     t_pb = _frobenius_partition(m, dec0, split_cyclic=False)[0]
     t_pf, mt, dec = _frobenius_power(m, dec0, split_cyclic=True)
-    eigenvalues = block_eigenvalues(mt, dec)
+    try:
+        eigenvalues = block_eigenvalues(mt, dec)
+    except FloatRangeError as exc:
+        raise FloatRangeError(
+            f"M^{t_pf} (primitive-Frobenius power): {exc}") from None
 
     def label(orig: int) -> object:
         return names[orig] if names is not None else orig + 1
@@ -308,7 +314,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (NotExpandingError, NotPBFrobeniusError, ZeroColumnError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (MaxIterError, ImageOverflowError) as exc:
+    except (MaxIterError, ImageOverflowError, FloatRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except SubperronError as exc:

@@ -42,3 +42,7 @@ class MaxIterError(SubperronError):
 
 class ImageOverflowError(SubperronError):
     """A substitution power produced an image longer than the safety bound."""
+
+
+class FloatRangeError(SubperronError):
+    """An exact value needed as a float lies beyond the float range."""

@@ -29,7 +29,9 @@ product over the levels used (at least 1).
 The keys of level n are ``words._Language(zs).factors(n)``: every length-n
 window of ``z(v)`` over the keys ``v`` of level ``l``, and the seeds,
 which are exactly the length-n factors of the language.  Keys outside the
-windows counted carry 0.0.
+windows counted carry 0.0.  They are the engine's code-point strings up to
+the table's prefix sums; ``FrequencyTable.entries`` and
+``factor_frequencies`` key by index tuples.
 
 A table up to length N takes level N from the recursion and gives each
 shorter word the sum over the level-N words it is a prefix of, so the right
@@ -44,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _linalg
+from ._linalg import lsum
 from .errors import MaxIterError, ParseError
 from .matrices import BlockDecomposition, ExactMatrix, scc_blocks
 from .spectral import (
@@ -55,7 +58,7 @@ from .spectral import (
     normalized_limit,
     trajectory_growth,
 )
-from .words import Substitution, Word, _Language, _stabilizing
+from .words import Substitution, Word, _code, _indices, _Language, _stabilizing
 
 
 def _letter_index(s: Substitution, a) -> int:
@@ -92,7 +95,7 @@ class FrequencyTable:
         return [w for w in self.entries if len(w) == n]
 
     def length_sum(self, n: int) -> float:
-        return sum(self.entries[w] for w in self.words_of_length(n))
+        return lsum(self.entries[w] for w in self.words_of_length(n))
 
     @property
     def frequencies(self) -> dict[str, float]:
@@ -143,7 +146,8 @@ class _InducedLimits:
     ``top``, read off the letter limit through the substitution induced on
     length-n words (see the module docstring).  ``report`` is the letter
     limit's, on ``m1``, the incidence matrix of the stabilizing power
-    ``zs``; ``level(n)`` is memoized and keyed by ``language.factors(n)``.
+    ``zs``; ``level(n)`` is memoized and keyed by ``language.factors(n)``,
+    code-point strings.
     ``stable`` is ``words._stabilizing(s)``, whose matrix and decomposition
     serve as ``zs``'s when the power is 1."""
 
@@ -164,7 +168,7 @@ class _InducedLimits:
             # the error of f_1 lives on the letters that zs**t(a) holds
             eigenvalues = block_eigenvalues(self.m1, dec)
             own = dec.block_of(a)
-            longest = max(len(z.images[c]) for b in {own, *dec.dependency[own]}
+            longest = max(len(z[c]) for b in {own, *dec.dependency[own]}
                           for c in dec.members(b))
             growth = trajectory_growth(dec, eigenvalues, [a])
             lam = growth.lam ** self.language.p
@@ -179,41 +183,41 @@ class _InducedLimits:
             self.m1, v0, tol=tol / max(1.0, amplification), max_iter=max_iter,
             dec=dec, eigenvalues=eigenvalues)
         f1 = self.report.limit
-        self.lam = sum(x * len(w) for x, w in zip(f1, z.images))
-        self.levels = {1: {(i,): x for i, x in enumerate(f1)}}
+        self.lam = lsum(x * len(w) for x, w in zip(f1, z))
+        self.levels = {1: dict(zip(self.language.factors(1), f1))}
 
-    def level(self, n: int) -> dict[Word, float]:
+    def level(self, n: int) -> dict[str, float]:
         """``f_n`` on the length-n factors of the language."""
         if n not in self.levels:
             self.levels[n] = self._pairs() if n == 2 else self._windows(n)
         return self.levels[n]
 
-    def _pairs(self) -> dict[Word, float]:
+    def _pairs(self) -> dict[str, float]:
         """``f_2``, from ``(lam I - B) f_2 = A f_1`` over the pairs."""
-        images = self.language.z.images
+        z = self.language.z
         pairs = self.language.factors(2)
         index = dict(zip(pairs, range(len(pairs))))
         k = len(pairs)
         a = [[0.0] * k for _ in range(k)]
         for j, (c, d) in enumerate(pairs):
             a[j][j] += self.lam
-            a[index[images[c][-1], images[d][0]]][j] -= 1.0
+            a[index[z[ord(c)][-1] + z[ord(d)][0]]][j] -= 1.0
         rhs = [0.0] * k
-        for x, img in zip(self.levels[1].values(), images):
-            for w in zip(img, img[1:]):
-                rhs[index[w]] += x
+        for x, img in zip(self.levels[1].values(), z):
+            for j in range(len(img) - 1):
+                rhs[index[img[j:j + 2]]] += x
         return dict(zip(pairs, _linalg.solve(a, rhs)))
 
-    def _windows(self, n: int) -> dict[Word, float]:
+    def _windows(self, n: int) -> dict[str, float]:
         """``f_n``, ``n >= 3``: ``N_n f_l`` over its sum."""
         z, shorter = self.language.z, self.language.source(n)
         f = dict.fromkeys(self.language.factors(n), 0.0)
         for (v, x), image in zip(self.level(shorter).items(),
                                  self.language.images(shorter)):
             if x:
-                for j in range(len(z.images[v[0]])):
+                for j in range(len(z[ord(v[0])])):
                     f[image[j:j + n]] += x
-        total = sum(f.values())
+        total = lsum(f.values())
         return {w: x / total for w, x in f.items()}
 
 
@@ -249,7 +253,7 @@ def factor_frequencies(s: Substitution, a, n: int,
     a = _letter_index(s, a)
     limits = _InducedLimits(s, _stabilizing(s), a, n, tol, max_iter)
     _settled_limit(s, a, n, limits.report)
-    return limits.level(n)
+    return {_indices(w): x for w, x in limits.level(n).items()}
 
 
 def frequency_table(s: Substitution, a, max_len: int,
@@ -273,7 +277,7 @@ def frequency_table(s: Substitution, a, max_len: int,
     limits = _InducedLimits(s, stable, a, max_len, tol, max_iter)
     # the factors of each shorter length are keys of their own, not read
     # off the top level: a factor need not lie inside any longer one
-    entries: dict[Word, float] = {}
+    entries: dict[str, float] = {}
     for n in range(1, max_len):
         entries.update(dict.fromkeys(limits.language.factors(n), 0.0))
     top = limits.level(max_len)
@@ -281,12 +285,13 @@ def frequency_table(s: Substitution, a, max_len: int,
     for w, f in top.items():
         for n in range(1, max_len):
             entries[w[:n]] += f
-    x1 = [entries[(i,)] for i in range(len(s.alphabet))]
+    x1 = [entries[w] for w in limits.language.factors(1)]
     report = limits.report
     table = FrequencyTable(
         substitution=s, base_letter=s.alphabet.letters[a],
-        power_used=stable[0], max_len=max_len, entries=entries,
-        growth_rate=sum(float_matvec(limits.m1, x1)),
+        power_used=stable[0], max_len=max_len,
+        entries={_indices(w): f for w, f in entries.items()},
+        growth_rate=lsum(float_matvec(limits.m1, x1)),
         iterations=report.iterations,
     )
     if not report.converged:
@@ -317,8 +322,8 @@ def kirchhoff_check(table: FrequencyTable, tol: float = 1e-6) -> KirchhoffReport
     for w, f in entries.items():
         if len(w) >= table.max_len:
             continue
-        left = sum(lefts.get(w, zeros))
-        right = sum(rights.get(w, zeros))
+        left = lsum(lefts.get(w, zeros))
+        right = lsum(rights.get(w, zeros))
         violation = max(abs(f - left), abs(f - right))
         if violation > worst:
             worst = violation
@@ -346,4 +351,4 @@ def measure_cylinder(s: Substitution, a, word,
     n = len(word)
     limits = _InducedLimits(s, stable, a, n, tol, max_iter)
     _settled_limit(s, a, n, limits.report)
-    return limits.level(n).get(word, 0.0)
+    return limits.level(n).get(_code(word), 0.0)

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from . import _linalg
+from ._linalg import lsum
 from .errors import (
+    FloatRangeError,
     MaxIterError,
     NotExpandingError,
     NotPBFrobeniusError,
@@ -80,7 +82,7 @@ class PrincipalEigenvector:
 
     @property
     def normalized(self) -> FloatVector:
-        s = sum(self.vector)
+        s = lsum(self.vector)
         return tuple(x / s for x in self.vector)
 
 
@@ -100,11 +102,11 @@ def _tied(dec: BlockDecomposition, eigenvalues: Sequence[float],
 
 
 def l1_norm(v: Sequence[float]) -> float:
-    return float(sum(abs(x) for x in v))
+    return float(lsum(abs(x) for x in v))
 
 
 def l1_dist(a: Sequence[float], b: Sequence[float]) -> float:
-    return float(sum(abs(x - y) for x, y in zip(a, b)))
+    return float(lsum(abs(x - y) for x, y in zip(a, b)))
 
 
 def _row_sums(rows: Sequence[Sequence[tuple[int, float]]],
@@ -153,8 +155,8 @@ def _measure(m: ExactMatrix, x: FloatVector) -> tuple[float, float]:
     """The eigen-estimate ``lam_hat = ||M x||_1`` of ``x`` and its residual
     ``||M x - lam_hat x||_1``, from one float matvec."""
     y = float_matvec(m, x)
-    lam = sum(y)
-    return lam, sum(abs(yi - lam * xi) for yi, xi in zip(y, x))
+    lam = lsum(y)
+    return lam, lsum(abs(yi - lam * xi) for yi, xi in zip(y, x))
 
 
 class _Trajectory:
@@ -198,7 +200,7 @@ def _deflate(m: ExactMatrix, growth: GrowthType,
     r = s
     for _ in range(growth.degree):
         r = [y - growth.lam * c for y, c in zip(float_matvec(m, r), r)]
-    pos = sum(c for c in r if c > 0.0)
+    pos = lsum(c for c in r if c > 0.0)
     return tuple(c / pos if c > 0.0 else 0.0 for c in r) if pos else None
 
 
@@ -235,8 +237,12 @@ def _certify_pf(m: ExactMatrix, dec: BlockDecomposition,
             f"block {i} is {cls.value}, not primitive or zero/one; "
             "raise the matrix to a power first"
         )
-    sub = [[(c, float(a)) for c, a in row]
-           for row in m.submatrix(members).rows]
+    try:
+        sub = [[(c, float(a)) for c, a in row]
+               for row in m.submatrix(members).rows]
+    except OverflowError:
+        raise FloatRangeError(
+            f"block B{i + 1} has an entry beyond float range") from None
     k = len(members)
     if k == 1:
         return sub[0][0][1], (1.0,)
@@ -245,7 +251,7 @@ def _certify_pf(m: ExactMatrix, dec: BlockDecomposition,
         y = _row_sums(sub, x)
         ratios = [y[r] / x[r] for r in range(k)]
         lo, hi = min(ratios), max(ratios)
-        s = sum(y)
+        s = lsum(y)
         x = [v / s for v in y]
         if hi - lo <= PF_BRACKET_WIDTH:
             return (lo + hi) / 2.0, tuple(x)
@@ -564,7 +570,7 @@ def eigencone_membership(m: ExactMatrix, dec: BlockDecomposition,
     cols = [p.vector for p in matching]
     a = [[cols[j][r] for j in range(len(cols))] for r in range(m.n)]
     coeffs = _linalg.nnls(a, list(map(float, v)))
-    proj = [sum(a[r][j] * coeffs[j] for j in range(len(cols))) for r in range(m.n)]
+    proj = [lsum(a[r][j] * coeffs[j] for j in range(len(cols))) for r in range(m.n)]
     return l1_dist(proj, v) <= tol
 
 

@@ -2,8 +2,9 @@
 
 Letters are strings (so that blow-up letters, which stand for length-n
 words, are first-class letters themselves); words are tuples of letter
-indices.  A substitution maps each letter to a finite word and extends to
-words by concatenation.
+indices, except inside the factor engine ``_Language``, which spells them
+as strings of code points.  A substitution maps each letter to a finite
+word and extends to words by concatenation.
 """
 
 from __future__ import annotations
@@ -119,22 +120,14 @@ class Substitution:
             out.extend(self.images[i])
         return tuple(out)
 
-    def _guarded_apply(self, word: Sequence[int]) -> Word:
-        # predict the length before materializing anything huge
-        new_len = sum(len(self.images[i]) for i in word)
-        if new_len > MAX_IMAGE_LENGTH:
-            raise ImageOverflowError(f"image length {new_len} exceeds "
-                                     f"{MAX_IMAGE_LENGTH}")
-        return self.apply(word)
-
     def power(self, t: int) -> "Substitution":
         """The substitution ``zeta**t`` (images are the t-th iterates)."""
         if t < 1:
             raise ValueError("power must be >= 1")
-        images = list(self.images)
+        table = images = tuple(map(_code, self.images))
         for _ in range(t - 1):
-            images = [self._guarded_apply(img) for img in images]
-        return Substitution(self.alphabet, images)
+            images = [_translate(img, table) for img in images]
+        return Substitution(self.alphabet, list(map(_indices, images)))
 
     def incidence_matrix(self) -> ExactMatrix:
         """Entry (i, j) counts occurrences of letter i in the image of
@@ -173,6 +166,12 @@ class _Language:
     ``zs``, one length at a time (``factors(n)`` and their images under
     ``z``, ``images(n)``, are memoized).
 
+    Every word here is a string of code points ``chr(i)``, ``i`` the letter
+    index, so that applying a substitution (``str.translate``), slicing and
+    hashing run in C; the code points of two words order them as their
+    index tuples do.  ``self.zs`` and ``self.z`` are the images of the
+    letters, which also serve as ``str.translate`` tables.
+
     ``z = zs**p`` is the least power whose images all have length >= 2 and
     ``shortest`` its shortest image length.  Level 1 is the letters; level 2
     the seed pairs closed under straddles (the last letter of ``z(c)`` and
@@ -184,15 +183,17 @@ class _Language:
     these are all of them.  Keys come in order of first appearance."""
 
     def __init__(self, zs: Substitution):
-        z, self.p = zs, 1
-        while min(map(len, z.images)) < 2:
+        self.zs = z = tuple(map(_code, zs.images))
+        self.p = 1
+        while min(map(len, z)) < 2:
             self.p += 1
-            z = zs.power(self.p)
-        self.zs, self.z = zs, z
-        self.shortest = min(map(len, z.images))
-        self._iterates = [[(i,) for i in range(len(zs.alphabet))]]
-        self._levels: dict[int, tuple[Word, ...]] = {1: tuple(self._iterates[0])}
-        self._images: dict[int, list[Word]] = {}
+            z = tuple(_translate(img, self.zs) for img in z)
+        self.z = z
+        self.shortest = min(map(len, z))
+        letters = tuple(map(chr, range(len(z))))
+        self._iterates = [letters]
+        self._levels: dict[int, tuple[str, ...]] = {1: letters}
+        self._images: dict[int, list[str]] = {}
 
     def source(self, n: int) -> int:
         """The length ``l = 1 + ceil((n - 1) / m)`` whose images under ``z``
@@ -200,19 +201,19 @@ class _Language:
         ``z(v_1)`` ends inside ``z(v_l)``."""
         return 2 + (n - 2) // self.shortest
 
-    def factors(self, n: int) -> tuple[Word, ...]:
+    def factors(self, n: int) -> tuple[str, ...]:
         if n not in self._levels:
             found = dict.fromkeys(self.seeds(n))
             if n == 2:
-                z = self.z.images
+                z = self.z
                 queue = list(found)
                 for c, d in queue:  # grows while it is walked
-                    straddle = (z[c][-1], z[d][0])
+                    straddle = z[ord(c)][-1] + z[ord(d)][0]
                     if straddle not in found:
                         found[straddle] = None
                         queue.append(straddle)
             else:
-                windows: dict[Word, None] = {}
+                windows: dict[str, None] = {}
                 for image in self.images(self.source(n)):
                     for j in range(len(image) - n + 1):
                         windows[image[j:j + n]] = None
@@ -221,26 +222,51 @@ class _Language:
             self._levels[n] = tuple(found)
         return self._levels[n]
 
-    def images(self, n: int) -> list[Word]:
+    def images(self, n: int) -> list[str]:
         """The images under ``z`` of the length-n factors, in their order."""
         if n not in self._images:
-            self._images[n] = list(map(self.z.apply, self.factors(n)))
+            z = self.z
+            self._images[n] = [w.translate(z) for w in self.factors(n)]
         return self._images[n]
 
-    def seeds(self, n: int) -> Iterator[Word]:
+    def seeds(self, n: int) -> Iterator[str]:
         """The length-n windows of ``zs**(K + r)(a_i)`` for ``r < p``, ``K``
         the least power at which every such word has ``n`` letters.  At
         ``n = 2``, ``K = p``: they hold every pair inside an image of ``z``."""
         its = self._iterates
         while min(map(len, its[-1])) < n:
-            its.append([self.zs._guarded_apply(w) for w in its[-1]])
+            its.append([_translate(w, self.zs) for w in its[-1]])
         k = next(k for k, ws in enumerate(its) if min(map(len, ws)) >= n)
         while len(its) < k + self.p:
-            its.append([self.zs._guarded_apply(w) for w in its[-1]])
+            its.append([_translate(w, self.zs) for w in its[-1]])
         for ws in its[k:k + self.p]:
             for word in ws:
                 for j in range(len(word) - n + 1):
                     yield word[j:j + n]
+
+
+def _translate(word: str, table: Sequence[str]) -> str:
+    """The image of a code-point string under the substitution whose images
+    are ``table``, refused before it is built when longer than
+    ``MAX_IMAGE_LENGTH``."""
+    new_len = sum(map(len, map(table.__getitem__, map(ord, word))))
+    if new_len > MAX_IMAGE_LENGTH:
+        raise ImageOverflowError(f"image length {new_len} exceeds "
+                                 f"{MAX_IMAGE_LENGTH}")
+    return word.translate(table)
+
+
+def _code(word: Sequence[int]) -> str:
+    """The code-point string of an index tuple."""
+    return "".join(map(chr, word))
+
+
+def _indices(word: str) -> Word:
+    """The index tuple of a code-point string."""
+    try:
+        return tuple(word.encode("latin-1"))  # code points below 256
+    except UnicodeEncodeError:
+        return tuple(map(ord, word))
 
 
 class FactorAlphabet:
@@ -249,7 +275,7 @@ class FactorAlphabet:
 
     __slots__ = ("n", "words", "index", "alphabet")
 
-    def __init__(self, n: int, words: Sequence[Word], alphabet: Alphabet):
+    def __init__(self, n: int, words: Iterable[Word], alphabet: Alphabet):
         self.n = n
         self.words = tuple(tuple(w) for w in words)
         self.index = {w: k for k, w in enumerate(self.words)}
@@ -266,7 +292,8 @@ def factor_alphabet(s: Substitution, n: int) -> FactorAlphabet:
         raise ValueError("factor length must be >= 1")
     if not is_expanding_subst(s):
         raise NotExpandingError("substitution is not expanding")
-    return FactorAlphabet(n, sorted(_Language(s).factors(n)), s.alphabet)
+    return FactorAlphabet(n, map(_indices, sorted(_Language(s).factors(n))),
+                          s.alphabet)
 
 
 def blow_up(s: Substitution, n: int) -> tuple[Substitution, FactorAlphabet]:
@@ -284,27 +311,27 @@ def blow_up(s: Substitution, n: int) -> tuple[Substitution, FactorAlphabet]:
 
 
 def _blow_up(s: Substitution, n: int) -> tuple[Substitution, FactorAlphabet]:
-    """``blow_up`` of a substitution known to be expanding.  A word is a
-    string of code points ``chr(i)``, so applying ``zeta``
-    (``str.translate``), slicing and hashing run in C.  An expanding
-    substitution erases no letter, so the windows always fit."""
+    """``blow_up`` of a substitution known to be expanding, on the factors
+    of ``_Language(s)``.  An expanding substitution erases no letter, so
+    the windows always fit."""
     if n < 2:
         raise ValueError("blow-up level must be >= 2")
-    fa = FactorAlphabet(n, sorted(_Language(s).factors(n)), s.alphabet)
-    words = ["".join(map(chr, w)) for w in fa.words]
+    language = _Language(s)
+    words = sorted(language.factors(n))
     index = dict(zip(words, range(len(words))))
-    table = {i: "".join(map(chr, img)) for i, img in enumerate(s.images)}
+    zeta = language.zs
     heads = []
     for u in words:
-        image = u.translate(table)
+        image = u.translate(zeta)
         heads.append(tuple(index[image[j:j + n]]
-                           for j in range(len(s.images[ord(u[0])]))))
+                           for j in range(len(zeta[ord(u[0])]))))
     # a blow-up letter spells its factor: "abc", or "(x,y,z)"
     if s.alphabet._single_char:
         names = [u.translate(s.alphabet.letters) for u in words]
     else:
         spell = [ltr + "," for ltr in s.alphabet.letters]
         names = ["(" + u.translate(spell)[:-1] + ")" for u in words]
+    fa = FactorAlphabet(n, map(_indices, words), s.alphabet)
     return Substitution(Alphabet(names), heads), fa
 
 

@@ -74,6 +74,27 @@ class TestAnalyzeMatrix:
         assert report["principal_blocks"] == [1, 2]
         assert report["limit"]["growth"]["degree"] == 0
 
+    def test_root_beyond_float_range_exits_4(self, capsys, tmp_path):
+        # cycles of lengths 7, 11 and 13 each feed [[2, 1], [1, 1]] through
+        # one entry: the primitive-Frobenius power is 1001, and its block
+        # [[2, 1], [1, 1]]**1001 has entries near 10**418
+        n = 7 + 11 + 13 + 2
+        rows = [[0] * n for _ in range(n)]
+        start = 0
+        for size in (7, 11, 13):
+            for r in range(size):
+                rows[start + (r + 1) % size][start + r] = 1
+            rows[n - 2][start] = 1
+            start += size
+        rows[n - 2][n - 2:] = [2, 1]
+        rows[n - 1][n - 2:] = [1, 1]
+        path = tmp_path / "cyc7_11_13.txt"
+        path.write_text("".join(" ".join(map(str, r)) + "\n" for r in rows))
+        code, out, err = run(capsys, "analyze-matrix", path, "--json")
+        assert (code, out) == (4, "")
+        assert err == ("error: M^1001 (primitive-Frobenius power): block B32 "
+                       "has an entry beyond float range\n")
+
     def test_require_expanding_violation(self, capsys, workdir):
         code, _, err = run(capsys, "analyze-matrix", workdir / "identity.txt",
                            "--require-expanding")

@@ -5,7 +5,13 @@ Each case runs ``subperron.cli.main`` from ``tests/golden`` on a file under
 with ``tests/golden/<case>.out``, whose first line is ``exit <code>``.  This
 holds a refactoring to its promise that the reports stay the same.
 
-To rewrite the golden files of some commands with the ``subperron`` that is
+To check every case without pytest (on any Python the package supports),
+run
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
+which prints the cases whose stdout differs and exits 1 when any does.  To
+rewrite the golden files of some commands with the ``subperron`` that is
 on the import path (for instance that of another checkout), run
 
     PYTHONPATH=src python tests/test_golden.py freq measure
@@ -18,8 +24,6 @@ import io
 import os
 import sys
 from pathlib import Path
-
-import pytest
 
 from subperron.cli import main
 
@@ -87,13 +91,27 @@ def _run(argv: list[str]) -> str:
     return f"exit {code}\n{out.getvalue()}"
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+def _expected(case: str) -> str:
+    return (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+
+
+def pytest_generate_tests(metafunc):
+    # parametrized by this hook, so that the module imports without pytest
+    if "case" in metafunc.fixturenames:
+        metafunc.parametrize("case", sorted(CASES))
+
+
 def test_golden_stdout(case):
-    expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
-    assert _run(CASES[case]) == expected
+    assert _run(CASES[case]) == _expected(case)
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        differ = [case for case in sorted(CASES)
+                  if _run(CASES[case]) != _expected(case)]
+        print("\n".join(differ + [f"{len(CASES) - len(differ)}/{len(CASES)} "
+                                   "golden cases match"]))
+        sys.exit(1 if differ else 0)
     commands = set(sys.argv[1:])
     for case, argv in sorted(CASES.items()):
         if argv[0] in commands:

@@ -1,7 +1,9 @@
 """The factor engine of ``factor_alphabet`` and ``blow_up`` against the
-breadth-first reference saturation in ``conftest``, the one-sweep block
-closure of ``scc_blocks`` against brute-force reachability, and the fast
-letter and index checks of ``Alphabet`` and ``Substitution``."""
+breadth-first reference saturation in ``conftest``, on code points above
+255 and on multi-character letters too, the index tuples the public API
+returns, the one-sweep block closure of ``scc_blocks`` against brute-force
+reachability, and the fast letter and index checks of ``Alphabet`` and
+``Substitution``."""
 
 from __future__ import annotations
 
@@ -11,9 +13,14 @@ import re
 import pytest
 
 from subperron import (
+    ImageOverflowError,
     Substitution,
     blow_up,
     factor_alphabet,
+    factor_frequencies,
+    frequency_table,
+    kirchhoff_check,
+    measure_cylinder,
     scc_blocks,
     stabilizing_power,
 )
@@ -88,6 +95,60 @@ def test_factor_alphabet_matches_the_reference(corpus):
         for n in range(2, 7):
             assert (factor_alphabet(s, n).words
                     == reference_factor_alphabet(s, n).words)
+
+
+def test_engine_beyond_code_point_255(blow_ups):
+    # the level-32 blow-up of RED4 has 335 letters, so its words hold code
+    # points up to 334
+    _, (sn, _), _ = blow_ups["red4", 32]
+    for n in (2, 3):
+        reference = reference_blow_up(sn, n)
+        zn, fa = blow_up(sn, n)
+        assert fa.words == reference[2] == factor_alphabet(sn, n).words
+        assert (zn.alphabet.letters, zn.images) == reference[:2]
+        assert max(map(max, fa.words)) > 255
+    table = frequency_table(sn, sn.alphabet.letters[0], 3, tol=1e-10)
+    assert max(map(max, table.entries)) > 255
+    assert kirchhoff_check(table).passed
+    for n in (1, 2, 3):
+        assert abs(table.length_sum(n) - 1.0) <= 1e-9
+
+
+def test_multi_character_letters_through_the_engine(corpus):
+    s = corpus["case3"]
+    table = frequency_table(s, "p", 3, tol=1e-10)
+    assert table.frequencies["x1 x1 x2"] > 0.0
+    for word in ("x1", "x1 x2", "x2 x1 x1", "p x1", "x2 x2 x2"):
+        assert measure_cylinder(s, "p", word, tol=1e-10) == pytest.approx(
+            table.omega(word), abs=1e-9), word
+    assert factor_frequencies(s, "p", 2, tol=1e-10)[
+        s.alphabet.encode("x1 x2")] == pytest.approx(table.omega("x1 x2"), abs=1e-9)
+
+
+def _index_tuples(words, size):
+    return all(type(w) is tuple and w and all(type(i) is int and 0 <= i < size
+                                               for i in w) for w in words)
+
+
+def test_public_words_are_index_tuples(corpus):
+    for name in ("fibonacci", "case3"):
+        s = corpus[name]
+        k, a = len(s.alphabet), s.alphabet.letters[0]
+        assert _index_tuples(frequency_table(s, a, 4).entries, k), name
+        assert _index_tuples(factor_frequencies(s, a, 3), k), name
+        assert _index_tuples(factor_alphabet(s, 3).words, k), name
+        assert _index_tuples(blow_up(s, 3)[1].words, k), name
+        assert _index_tuples([s.alphabet.encode(s.alphabet.decode((0, 0)))], k)
+
+
+def test_image_overflow_message():
+    s = Substitution.from_rules([("a", "a" * 4000), ("b", "ba")])
+    message = "^image length 16000000 exceeds 10000000$"
+    with pytest.raises(ImageOverflowError, match=message):
+        s.power(2)
+    # the engine's seeds of length 3 need zeta**2(a)
+    with pytest.raises(ImageOverflowError, match=message):
+        frequency_table(s, "b", 3)
 
 
 def _brute_force_reach(m, dec):

@@ -18,6 +18,7 @@ from subperron import (
     scc_blocks,
     stabilizing_power,
 )
+from subperron._linalg import lsum
 from subperron.spectral import float_matvec
 from conftest import (
     ANTIDIAG4_ROWS,
@@ -199,6 +200,21 @@ def test_float_matvec_bit_equal_to_dense(dense_cases):
         total = sum(w) or 1
         for x in ([c / total for c in w], [rng.random() for _ in range(m.n)]):
             assert float_matvec(m, x) == dense_float_matvec(rows, x), label
+
+
+def test_lsum_adds_left_to_right():
+    # a compensated sum (the builtin from Python 3.12 on) gives 1.0 and 2.0
+    assert lsum([1e16, 1.0, -1e16]) == 0.0
+    assert lsum([0.1] * 10) == 0.9999999999999999
+    rng = random.Random(12)
+    for _ in range(200):
+        xs = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randrange(-8, 9)
+              for _ in range(rng.randrange(20))]
+        total = 0.0
+        for x in xs:
+            total += x
+        assert lsum(xs) == total
+        assert lsum(iter(xs)) == total
 
 
 def test_matmul_equals_dense(dense_cases):
