@@ -1,11 +1,11 @@
 """Command-line front end: file ingestion, analysis orchestration, and
 JSON/text reports.
 
-Exit-code contract: 0 success, 2 parse error, 3 hypothesis violated (input
-not expanding, or not in the required Frobenius form), 4 iteration or
-resource budget exceeded, or a value beyond float range.  All floats in
-reports are printed with 12 significant digits so that identical inputs
-produce byte-identical output.
+Exit codes: 0 on success; an error exits with the ``exit_code`` of its
+class in ``errors.py``, and an unreadable file or invalid argument value
+(``OSError``, ``ValueError``) with 2.  All floats in reports are printed
+with 12 significant digits so that identical inputs produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -18,10 +18,7 @@ from typing import Sequence
 
 from .errors import (
     FloatRangeError,
-    ImageOverflowError,
-    MaxIterError,
     NotExpandingError,
-    NotPBFrobeniusError,
     ParseError,
     SubperronError,
     ZeroColumnError,
@@ -45,12 +42,10 @@ from .spectral import (
     principal_blocks,
     principal_eigenvector,
 )
-from .words import _blow_up, load_substitution
+from .words import _blow_up, _stabilizing, load_substitution
 
 EXIT_OK = 0
 EXIT_PARSE = 2
-EXIT_HYPOTHESIS = 3
-EXIT_BUDGET = 4
 
 
 def round12(x: float) -> float:
@@ -164,8 +159,7 @@ def cmd_analyze_matrix(args) -> int:
     report = {"input": str(args.file)}
     report.update(_matrix_report(m, dec0))
     if args.require_expanding and not report["expanding"]:
-        print("error: matrix is not expanding", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+        raise NotExpandingError("matrix is not expanding")
     if args.vector is not None:
         try:
             v0 = [int(tok) for tok in args.vector.replace(",", " ").split()]
@@ -185,13 +179,8 @@ def cmd_analyze_matrix(args) -> int:
 
 def cmd_analyze_subst(args) -> int:
     s = load_substitution(args.file)
-    m = s.incidence_matrix()
-    dec0 = scc_blocks(m)
-    if not dec0.is_expanding():
-        raise NotExpandingError("substitution is not expanding")
+    power, m, dec0 = _stabilizing(s)
     incidence = _matrix_report(m, dec0, names=s.alphabet.letters)
-    # the stabilizing power is the incidence matrix's PB-Frobenius exponent
-    power = incidence["pb_frobenius_exponent"]
     report = {
         "input": str(args.file),
         "letters": list(s.alphabet.letters),
@@ -308,18 +297,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except (ParseError, OSError, ValueError) as exc:
+    except (SubperronError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (NotExpandingError, NotPBFrobeniusError, ZeroColumnError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except (MaxIterError, ImageOverflowError, FloatRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except SubperronError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", EXIT_PARSE)
 
 
 def run() -> None:

@@ -125,7 +125,10 @@ def _row_sums(rows: Sequence[Sequence[tuple[int, float]]],
 
 def float_matvec(m: ExactMatrix, x: Sequence[float]) -> list[float]:
     """``M @ x`` in floats, over the non-zeros of ``M``."""
-    return _row_sums(m.rows, x)
+    try:
+        return _row_sums(m.rows, x)
+    except OverflowError:
+        raise FloatRangeError("a matrix entry lies beyond float range") from None
 
 
 def _snapshot(w: Sequence[int]) -> FloatVector:
@@ -133,11 +136,8 @@ def _snapshot(w: Sequence[int]) -> FloatVector:
     safe against float overflow of huge ints."""
     s = sum(w)
     k = max(0, s.bit_length() - 500)
-    if k:
-        den = float(s >> k)
-        return tuple(float(x >> k) / den for x in w)
-    den = float(s)
-    return tuple(float(x) / den for x in w)
+    den = float(s >> k)
+    return tuple(float(x >> k) / den for x in w)
 
 
 def _rescale(w: tuple[int, ...]) -> tuple[int, ...]:
@@ -308,8 +308,7 @@ def growth_type(dec: BlockDecomposition, eigenvalues: Sequence[float],
     """Growth type ``lambda_max(B_i)**t * t**d`` of block ``i``: the maximal
     eigenvalue over the downward closure of ``B_i`` and the longest chain of
     blocks realizing it, minus one."""
-    closure = {i} | set(dec.dependency[i])
-    return _growth_of(dec, eigenvalues, closure)
+    return trajectory_growth(dec, eigenvalues, dec.members(i))
 
 
 def cone_growth_type(dec: BlockDecomposition, eigenvalues: Sequence[float],
@@ -555,23 +554,26 @@ def principal_eigenvector(m: ExactMatrix, dec: BlockDecomposition,
 def eigencone_membership(m: ExactMatrix, dec: BlockDecomposition,
                          eigenvalues: Sequence[float], v: Sequence[float],
                          lam: float, tol: float = 1e-8) -> bool:
-    """Whether ``v`` lies (within l1 distance ``tol`` after non-negative
-    projection) in the cone spanned by the principal eigenvectors with
-    eigenvalue ``lam``."""
+    """Whether ``v`` lies within l1 distance ``tol`` of the cone spanned by
+    the principal eigenvectors with eigenvalue ``lam``.
+
+    The coefficients are read off the blocks.  Each principal eigenvector
+    has l1 mass 1 on its own block, and no principal block feeds another of
+    the same root, so the eigenvector of one such block vanishes on the
+    others.  For each matching block in flow order, the coefficient is the
+    mass of the remainder on the block, clamped at 0, and that multiple of
+    the block's eigenvector is taken off the remainder (which starts as
+    ``v``).  ``v`` is in the cone when the l1 norm of what is left is at
+    most ``tol``."""
     if any(x < -tol for x in v) or l1_norm(v) == 0.0:
         raise ValueError("v must be non-negative and non-zero")
-    matching = [
-        principal_eigenvector(m, dec, eigenvalues, i)
-        for i in sorted(principal_blocks(dec, eigenvalues))
-        if _close(eigenvalues[i], lam)
-    ]
-    if not matching:
-        return False
-    cols = [p.vector for p in matching]
-    a = [[cols[j][r] for j in range(len(cols))] for r in range(m.n)]
-    coeffs = _linalg.nnls(a, list(map(float, v)))
-    proj = [lsum(a[r][j] * coeffs[j] for j in range(len(cols))) for r in range(m.n)]
-    return l1_dist(proj, v) <= tol
+    rest = [float(x) for x in v]
+    for i in sorted(principal_blocks(dec, eigenvalues)):
+        if _close(eigenvalues[i], lam):
+            c = max(0.0, lsum(rest[idx] for idx in dec.members(i)))
+            pe = principal_eigenvector(m, dec, eigenvalues, i)
+            rest = [x - c * y for x, y in zip(rest, pe.vector)]
+    return l1_norm(rest) <= tol
 
 
 def power_eigenvector_lift(m0: ExactMatrix, k: int, v: Sequence[float],

@@ -183,15 +183,14 @@ class _Language:
     these are all of them.  Keys come in order of first appearance."""
 
     def __init__(self, zs: Substitution):
-        self.zs = z = tuple(map(_code, zs.images))
-        self.p = 1
-        while min(map(len, z)) < 2:
-            self.p += 1
-            z = tuple(_translate(img, self.zs) for img in z)
-        self.z = z
-        self.shortest = min(map(len, z))
-        letters = tuple(map(chr, range(len(z))))
-        self._iterates = [letters]
+        self.zs = tuple(map(_code, zs.images))
+        letters = tuple(map(chr, range(len(self.zs))))
+        # the letters under zs**0, zs**1, ...; seeds() appends higher powers
+        its = self._iterates = [letters, self.zs]
+        while min(map(len, its[-1])) < 2:
+            its.append([_translate(w, self.zs) for w in its[-1]])
+        self.p, self.z = len(its) - 1, its[-1]
+        self.shortest = min(map(len, self.z))
         self._levels: dict[int, tuple[str, ...]] = {1: letters}
         self._images: dict[int, list[str]] = {}
 

@@ -19,6 +19,8 @@ from subperron import (
     scc_blocks,
     stabilizing_power,
 )
+from subperron._linalg import Matrix, lsum, solve
+from subperron.errors import SingularSystemError
 from subperron.words import Alphabet
 
 # the 8x8 reducible fixture with four primitive 2x2 blocks; eigenvalues
@@ -293,6 +295,62 @@ def frequency_oracle():
         return cache[key]
 
     return oracle
+
+
+# ---------------------------------------------------------------------------
+# dense least squares: the NNLS projection is the reference that the block
+# read-off of ``eigencone_membership`` is compared against
+
+def lstsq(a: Matrix, b: list[float]) -> list[float]:
+    """Least squares via normal equations (adequate at this scale)."""
+    rows = len(a)
+    cols = len(a[0])
+    ata = [[lsum(a[r][i] * a[r][j] for r in range(rows)) for j in range(cols)]
+           for i in range(cols)]
+    atb = [lsum(a[r][i] * b[r] for r in range(rows)) for i in range(cols)]
+    # ridge-free solve; fall back to a tiny regularization on singularity
+    try:
+        return solve(ata, atb)
+    except SingularSystemError:
+        for i in range(cols):
+            ata[i][i] += 1e-14
+        return solve(ata, atb)
+
+
+def nnls(a: Matrix, b: list[float], max_iter: int | None = None) -> list[float]:
+    """Non-negative least squares, Lawson-Hanson active-set iteration."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    max_iter = max_iter or 6 * (cols + 1)
+    x = [0.0] * cols
+    passive: set[int] = set()
+    for _ in range(max_iter):
+        resid = [b[r] - lsum(a[r][j] * x[j] for j in range(cols)) for r in range(rows)]
+        w = [lsum(a[r][j] * resid[r] for r in range(rows)) for j in range(cols)]
+        candidates = [j for j in range(cols) if j not in passive]
+        if not candidates or max(w[j] for j in candidates) <= 1e-13:
+            return x
+        passive.add(max(candidates, key=lambda j: w[j]))
+        while True:
+            cols_p = sorted(passive)
+            sub = [[a[r][j] for j in cols_p] for r in range(rows)]
+            z_p = lstsq(sub, list(b))
+            z = [0.0] * cols
+            for j, val in zip(cols_p, z_p):
+                z[j] = val
+            if all(z[j] > 0.0 for j in passive):
+                x = z
+                break
+            alpha = min(
+                x[j] / (x[j] - z[j])
+                for j in passive
+                if z[j] <= 0.0 and x[j] != z[j]
+            )
+            x = [x[j] + alpha * (z[j] - x[j]) for j in range(cols)]
+            passive = {j for j in passive if x[j] > 1e-15}
+            if not passive:
+                break
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ below it checks the same starts through the cached runs of ``deep_runs_m8``.
 import math
 import random
 
-from conftest import count_occurrences_str, mat_pow_apply, record_criterion
+from conftest import (count_occurrences_str, lstsq, mat_pow_apply, nnls,
+                      random_pb_frobenius_expanding, record_criterion)
 from subperron import (
     ExactMatrix,
     block_eigenvalues,
@@ -30,7 +31,6 @@ from subperron import (
     scc_blocks,
     stabilizing_power,
 )
-from subperron._linalg import lstsq
 from subperron.spectral import float_matvec, l1_dist
 
 LAM_A = 2 + math.sqrt(2)
@@ -259,6 +259,71 @@ def test_criterion_4_eigencone_brute_force(random_corpus_200):
                f"eigen-equation of {checked_principal} principal vectors")
     assert ok
     assert checked_candidates >= 200 and checked_principal >= 200
+
+
+def _nnls_verdict(m, dec, eig, v, lam, tol):
+    """The NNLS-projection verdict: ``v`` is within l1 distance ``tol`` of
+    its non-negative least-squares projection onto the principal
+    eigenvectors of root ``lam``."""
+    cols = [principal_eigenvector(m, dec, eig, i).vector
+            for i in sorted(principal_blocks(dec, eig))
+            if abs(eig[i] - lam) <= 1e-9 * max(1.0, lam)]
+    if not cols:
+        return False
+    a = [[col[r] for col in cols] for r in range(m.n)]
+    coeffs = nnls(a, list(v))
+    proj = [sum(a[r][j] * coeffs[j] for j in range(len(cols)))
+            for r in range(m.n)]
+    return l1_dist(proj, v) <= tol
+
+
+def test_eigencone_read_off_matches_nnls(random_corpus_200, case3_matrix):
+    """The block read-off of ``eigencone_membership`` gives the verdict of
+    an NNLS projection: in, on criterion 4's eigenvector candidates and on
+    random non-negative mixes of the principal eigenvectors of one root;
+    out, on those mixes with ``10 * tol`` of mass moved to a coordinate
+    outside every generator's support."""
+    tol = 1e-8
+    for m in random_corpus_200:
+        dec = scc_blocks(m)
+        eig = block_eigenvalues(m, dec)
+        for lam in sorted({x for x in eig if x >= 1.0}):
+            for v in _eigenvector_candidates(m, lam):
+                assert eigencone_membership(m, dec, eig, v, lam, tol=tol)
+                assert _nnls_verdict(m, dec, eig, v, lam, tol)
+    rng = random.Random(7)
+    matrices = [case3_matrix] + [
+        random_pb_frobenius_expanding(rng) for _ in range(100)]
+    mixes = outside = 0
+    for m in matrices:
+        dec = scc_blocks(m)
+        eig = block_eigenvalues(m, dec)
+        principal = sorted(principal_blocks(dec, eig))
+        for lam in sorted({eig[i] for i in principal}):
+            gens = [principal_eigenvector(m, dec, eig, i).vector
+                    for i in principal if eig[i] == lam]
+            support = {r for g in gens for r in range(m.n) if g[r] > 0.0}
+            for _ in range(3):
+                coeffs = [rng.random() for _ in gens]
+                mix = [sum(c * g[r] for c, g in zip(coeffs, gens))
+                       for r in range(m.n)]
+                total = sum(mix)
+                mix = [x / total for x in mix]
+                assert eigencone_membership(m, dec, eig, mix, lam, tol=tol)
+                assert _nnls_verdict(m, dec, eig, mix, lam, tol)
+                mixes += 1
+                free = [r for r in range(m.n) if r not in support]
+                if not free:
+                    continue
+                # take 10 * tol of mass off the largest coordinate
+                moved = list(mix)
+                moved[max(range(m.n), key=mix.__getitem__)] -= 10 * tol
+                moved[rng.choice(free)] += 10 * tol
+                assert not eigencone_membership(m, dec, eig, moved, lam,
+                                                tol=tol)
+                assert not _nnls_verdict(m, dec, eig, moved, lam, tol)
+                outside += 1
+    assert mixes >= 400 and outside >= 300
 
 
 def test_criterion_5_case1_series_identity(m8, dec8, eig8):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from subperron import cli, matrices, spectral, stabilizing_power, words
+from subperron import cli, errors, matrices, spectral, stabilizing_power, words
 from subperron.cli import main
 
 FIB = "a -> ab\nb -> a\n"
@@ -95,11 +95,20 @@ class TestAnalyzeMatrix:
         assert err == ("error: M^1001 (primitive-Frobenius power): block B32 "
                        "has an entry beyond float range\n")
 
+    @pytest.mark.parametrize("extra", [(), ("--vector", "1,0")])
+    def test_entry_beyond_float_range_exits_4(self, capsys, tmp_path, extra):
+        # the entry 10**400 lies outside the diagonal blocks: the principal
+        # eigenvector's float matvec meets it, not the PF certification
+        path = tmp_path / "big400.txt"
+        path.write_text(f"2 0\n{10**400} 3\n")
+        code, out, err = run(capsys, "analyze-matrix", path, *extra)
+        assert (code, out) == (4, "")
+        assert err == "error: a matrix entry lies beyond float range\n"
+
     def test_require_expanding_violation(self, capsys, workdir):
         code, _, err = run(capsys, "analyze-matrix", workdir / "identity.txt",
                            "--require-expanding")
-        assert code == 3
-        assert "expanding" in err
+        assert (code, err) == (3, "error: matrix is not expanding\n")
 
     def test_vector_limit(self, capsys, workdir):
         (workdir / "fib.txt").write_text("1 1\n1 0\n")
@@ -461,3 +470,24 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "cmd_freq", wrapped)
         assert run(capsys, *argv)[0] == 0
         assert calls == ["a"]
+
+
+class TestExitCodes:
+    """``main`` prints each error as ``error: ...`` and exits with the code
+    of its class; an unreadable file or invalid value exits 2."""
+
+    @pytest.mark.parametrize("exc, code", [
+        (errors.SubperronError, 1), (errors.SingularSystemError, 1),
+        (errors.NotPrincipalError, 1), (errors.ParseError, 2),
+        (OSError, 2), (ValueError, 2), (errors.NotExpandingError, 3),
+        (errors.NotPBFrobeniusError, 3), (errors.ZeroColumnError, 3),
+        (errors.MaxIterError, 4), (errors.ImageOverflowError, 4),
+        (errors.FloatRangeError, 4),
+    ])
+    def test_code_of_each_class(self, capsys, monkeypatch, exc, code):
+        def failing(args):
+            raise exc("boom")
+
+        monkeypatch.setattr(cli, "cmd_measure", failing)
+        got = run(capsys, "measure", "any.sub", "--letter", "a", "--word", "a")
+        assert got == (code, "", "error: boom\n")
