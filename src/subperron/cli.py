@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -43,9 +44,6 @@ from .spectral import (
     principal_eigenvector,
 )
 from .words import _blow_up, _stabilizing, load_substitution
-
-EXIT_OK = 0
-EXIT_PARSE = 2
 
 
 def round12(x: float) -> float:
@@ -81,16 +79,13 @@ def _matrix_report(m: ExactMatrix, dec0: BlockDecomposition,
     except FloatRangeError as exc:
         raise FloatRangeError(
             f"M^{t_pf} (primitive-Frobenius power): {exc}") from None
-
-    def label(orig: int) -> object:
-        return names[orig] if names is not None else orig + 1
-
+    labels = names if names is not None else range(1, m.n + 1)
     blocks = []
     for i in range(dec.num_blocks):
         g = growth_type(dec, eigenvalues, i)
         blocks.append({
             "id": i + 1,
-            "indices": [label(orig) for orig in dec.members(i)],
+            "indices": [labels[orig] for orig in dec.members(i)],
             "class": dec.classes[i].value,
             "eigenvalue": round12(eigenvalues[i]),
             "growth": {"lambda": round12(g.lam), "degree": g.degree},
@@ -174,7 +169,7 @@ def cmd_analyze_matrix(args) -> int:
         print(json.dumps(report, indent=2))
     else:
         _print_matrix_report_text(report, sys.stdout)
-    return EXIT_OK
+    return 0
 
 
 def cmd_analyze_subst(args) -> int:
@@ -216,7 +211,7 @@ def cmd_analyze_subst(args) -> int:
                 f"pb-frobenius: {str(b['pb_frobenius']).lower()}, "
                 f"primitive: {str(b['primitive']).lower()}"
             )
-    return EXIT_OK
+    return 0
 
 
 def cmd_freq(args) -> int:
@@ -231,7 +226,7 @@ def cmd_freq(args) -> int:
     if kirchhoff is not None:
         payload["kirchhoff_max_residual"] = round12(kirchhoff.max_residual)
     print(json.dumps(payload, indent=2))
-    return EXIT_OK
+    return 0
 
 
 def cmd_measure(args) -> int:
@@ -239,7 +234,22 @@ def cmd_measure(args) -> int:
     value = measure_cylinder(s, args.letter, args.word,
                              tol=args.tol, max_iter=args.max_iter)
     print(f"{value:#.12g}")
-    return EXIT_OK
+    return 0
+
+
+def _non_negative(kind: type, what: str):
+    """An argparse ``type``: ``kind(text)``, finite and >= 0."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be {what} >= 0, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+_MAX_ITER = _non_negative(int, "an integer")
+_TOL = _non_negative(float, "a finite float")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated start vector for the normalized limit")
     pm.add_argument("--require-expanding", action="store_true")
     pm.add_argument("--json", action="store_true")
-    pm.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    pm.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
 
     ps = sub.add_parser("analyze-subst", help="analysis of a substitution file")
     ps.add_argument("file")
@@ -271,15 +279,15 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("file")
     pf.add_argument("--letter", required=True)
     pf.add_argument("--max-len", type=int, default=2)
-    pf.add_argument("--tol", type=float, default=1e-6)
-    pf.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
 
     pq = sub.add_parser("measure", help="invariant-measure value of a cylinder")
     pq.add_argument("file")
     pq.add_argument("--letter", required=True)
     pq.add_argument("--word", required=True)
-    pq.add_argument("--tol", type=float, default=1e-6)
-    pq.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    # --tol 0 is legal: such a run spends its whole budget
+    for p, tol in ((pm, DEFAULT_TOL), (pf, 1e-6), (pq, 1e-6)):
+        p.add_argument("--tol", type=_TOL, default=tol)
+        p.add_argument("--max-iter", type=_MAX_ITER, default=DEFAULT_MAX_ITER)
     return parser
 
 
@@ -299,7 +307,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return handler(args)
     except (SubperronError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return getattr(exc, "exit_code", EXIT_PARSE)
+        return getattr(exc, "exit_code", 2)
 
 
 def run() -> None:

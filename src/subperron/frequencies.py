@@ -43,7 +43,7 @@ property of the limit that ``kirchhoff_check`` tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _linalg
 from ._linalg import lsum
@@ -70,8 +70,7 @@ def _letter_index(s: Substitution, a) -> int:
     return a
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
+class FrequencyTable(NamedTuple):
     """Limit frequencies f_w(a) for all factors w up to ``max_len``, based
     at letter ``a``.  Keys of ``entries`` are index tuples over the base
     alphabet; words of the language carry their limit frequency and every
@@ -115,8 +114,7 @@ class FrequencyTable:
         }
 
 
-@dataclass(frozen=True)
-class KirchhoffReport:
+class KirchhoffReport(NamedTuple):
     """Maximum violation of the Kirchhoff conditions over all testable
     words (both one-letter extensions on the left and on the right)."""
 

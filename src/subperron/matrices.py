@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError
 
@@ -198,8 +198,16 @@ class BlockClass(Enum):
     IMPRIMITIVE = "imprimitive"
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class _Blocks(NamedTuple):
+    n: int
+    perm: tuple[int, ...]
+    spans: tuple[tuple[int, int], ...]
+    classes: tuple[BlockClass, ...]
+    dependency: tuple[frozenset[int], ...]
+    block_index: tuple[int, ...]
+
+
+class BlockDecomposition(_Blocks):
     """Ordered block partition of a matrix, lower block triangular.
 
     ``perm[p]`` is the original index placed at permuted position ``p``;
@@ -209,17 +217,16 @@ class BlockDecomposition:
     reaches block ``j``); ``block_index[v]`` is the block holding original
     index ``v``.  ``pf_pairs`` holds the block PF pairs that
     ``spectral.pf_eigen_block`` certified, so that each is certified once
-    for as long as the decomposition is used.
+    for as long as the decomposition is used; it lives outside the tuple,
+    so equality, hash and repr ignore it.
     """
 
-    n: int
-    perm: tuple[int, ...]
-    spans: tuple[tuple[int, int], ...]
-    classes: tuple[BlockClass, ...]
-    dependency: tuple[frozenset[int], ...]
-    block_index: tuple[int, ...]
-    pf_pairs: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    def __setattr__(self, name, value):
+        raise AttributeError("BlockDecomposition is immutable")
+
+    @cached_property
+    def pf_pairs(self) -> dict:
+        return {}
 
     @property
     def num_blocks(self) -> int:
@@ -457,14 +464,9 @@ def _build_decomposition(m: ExactMatrix, blocks: list[list[int]],
     for comp in ordered:
         spans.append((len(perm), len(perm) + len(comp)))
         perm.extend(comp)
-    return BlockDecomposition(
-        n=m.n,
-        perm=tuple(perm),
-        spans=tuple(spans),
-        classes=tuple(ordered_classes),
-        dependency=tuple(reach),
-        block_index=tuple(new_index[b] for b in block_of),
-    )
+    return BlockDecomposition(m.n, tuple(perm), tuple(spans),
+                              tuple(ordered_classes), tuple(reach),
+                              tuple(new_index[b] for b in block_of))
 
 
 def scc_blocks(m: ExactMatrix) -> BlockDecomposition:

@@ -9,7 +9,6 @@ the limit is read off the deflated snapshot ``(M - lambda I)**d x``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from . import _linalg
@@ -50,8 +49,7 @@ class GrowthType(NamedTuple):
         return t * math.log(self.lam) + self.degree * math.log(t)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Outcome of a normalized-power-iterate run.
 
     ``eigenvalue`` is the estimate ``||M x||_1`` at the reported
@@ -69,8 +67,7 @@ class ConvergenceReport:
     diagnostic: str | None = None
 
 
-@dataclass(frozen=True)
-class PrincipalEigenvector:
+class PrincipalEigenvector(NamedTuple):
     """Non-negative eigenvector attached to a principal block: the extended
     PF-eigenvector of the block (l1 mass 1) plus the solved dependency part."""
 
@@ -476,21 +473,15 @@ def classify_limit_case(dec: BlockDecomposition, eigenvalues: Sequence[float],
     return 1 if lam > eigenvalues[u] else 3
 
 
-def _check_no_zero_columns(dec: BlockDecomposition,
-                           eigenvalues: Sequence[float]) -> None:
-    for i in range(dec.num_blocks):
-        if eigenvalues[i] == 0.0 and not dec.dependency[i]:
-            idx = dec.members(i)[0]
-            raise ZeroColumnError(f"column {idx} is zero")
-
-
 def principal_blocks(dec: BlockDecomposition,
                      eigenvalues: Sequence[float]) -> set[int]:
     """Blocks whose eigenvalue strictly dominates every block they feed
     (limit case 1)."""
     if not dec.is_pb_frobenius():
         raise NotPBFrobeniusError("apply pb_frobenius_power first")
-    _check_no_zero_columns(dec, eigenvalues)
+    for i in range(dec.num_blocks):
+        if eigenvalues[i] == 0.0 and not dec.dependency[i]:
+            raise ZeroColumnError(f"column {dec.members(i)[0]} is zero")
     return {i for i in range(dec.num_blocks)
             if classify_limit_case(dec, eigenvalues, i) == 1}
 

@@ -491,3 +491,50 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_measure", failing)
         got = run(capsys, "measure", "any.sub", "--letter", "a", "--word", "a")
         assert got == (code, "", "error: boom\n")
+
+
+class TestArgumentRanges:
+    """``--max-iter`` is an integer >= 0 and ``--tol`` a finite float >= 0;
+    any other value is refused while the arguments are parsed, with exit
+    2, before any input is read."""
+
+    COMMANDS = {
+        "analyze-matrix": ("analyze-matrix", "fib2.txt", "--vector", "1,0"),
+        "freq": ("freq", "fib.sub", "--letter", "a", "--max-len", "1"),
+        "measure": ("measure", "fib.sub", "--letter", "a", "--word", "a"),
+    }
+
+    def argv(self, workdir, command, *extra):
+        name, file, *rest = self.COMMANDS[command]
+        (workdir / "fib2.txt").write_text("1 1\n1 0\n")
+        return (name, workdir / file, *rest, *extra)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("option, value, message", [
+        ("--max-iter", "-5", "must be an integer >= 0, got '-5'"),
+        ("--max-iter", "2.5", "invalid int value: '2.5'"),
+        ("--tol", "nan", "must be a finite float >= 0, got 'nan'"),
+        ("--tol", "-1", "must be a finite float >= 0, got '-1'"),
+        ("--tol", "inf", "must be a finite float >= 0, got 'inf'"),
+        ("--tol", "x", "invalid float value: 'x'"),
+    ])
+    def test_refused_at_parse_time(self, capsys, workdir, command, option,
+                                   value, message):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *self.argv(workdir, command, f"{option}={value}"))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {option}: {message}\n" in captured.err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_zero_is_legal(self, capsys, workdir, command):
+        # tol 0 never settles, so a budget of 0 or 3 steps is spent: a
+        # warning from analyze-matrix, exit 4 from the frequency commands
+        for extra in (("--tol", "0", "--max-iter", "3"), ("--max-iter", "0")):
+            code, out, err = run(capsys, *self.argv(workdir, command, *extra))
+            if command == "analyze-matrix":
+                assert code == 0 and "converged=False" in out
+                assert "max_iter=" in err
+            else:
+                assert code == 4 and "did not settle" in err
