@@ -46,7 +46,6 @@ from .spectral import (
     PrincipalEigenvector,
     block_eigenvalues,
     classify_limit_case,
-    cone_growth_type,
     dominant_interior_contains,
     eigencone_membership,
     growth_type,

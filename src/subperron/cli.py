@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from typing import Sequence
 
@@ -38,6 +37,7 @@ from .spectral import (
     DEFAULT_TOL,
     ConvergenceReport,
     block_eigenvalues,
+    check_budget,
     growth_type,
     normalized_limit,
     principal_blocks,
@@ -218,13 +218,14 @@ def cmd_freq(args) -> int:
     s = load_substitution(args.file)
     table = frequency_table(s, args.letter, max_len=args.max_len,
                             tol=args.tol, max_iter=args.max_iter)
-    kirchhoff = kirchhoff_check(table) if args.max_len >= 2 else None
-    payload = table.to_json_dict()
-    payload["frequencies"] = {w: round12(f)
-                              for w, f in payload["frequencies"].items()}
-    payload["growth_rate"] = round12(payload["growth_rate"])
-    if kirchhoff is not None:
-        payload["kirchhoff_max_residual"] = round12(kirchhoff.max_residual)
+    words = sorted(table.frequencies.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    payload = {"base_letter": table.base_letter,
+               "power_used": table.power_used,
+               "frequencies": {w: round12(f) for w, f in words},
+               "growth_rate": round12(table.growth_rate)}
+    if args.max_len >= 2:
+        payload["kirchhoff_max_residual"] = round12(
+            kirchhoff_check(table).max_residual)
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -237,19 +238,22 @@ def cmd_measure(args) -> int:
     return 0
 
 
-def _non_negative(kind: type, what: str):
-    """An argparse ``type``: ``kind(text)``, finite and >= 0."""
+def _in_range(kind: type, name: str):
+    """An argparse ``type``: ``kind(text)``, if ``check_budget`` takes it."""
     def parse(text: str):
         value = kind(text)
-        if not 0 <= value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be {what} >= 0, got {text!r}")
+        try:
+            check_budget(**{name: value}, shown=repr(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                str(exc).removeprefix(name + " ")) from None
         return value
     parse.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
     return parse
 
 
-_MAX_ITER = _non_negative(int, "an integer")
-_TOL = _non_negative(float, "a finite float")
+_MAX_ITER = _in_range(int, "max_iter")
+_TOL = _in_range(float, "tol")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -54,6 +54,7 @@ from .spectral import (
     DEFAULT_TOL,
     ConvergenceReport,
     block_eigenvalues,
+    check_budget,
     float_matvec,
     normalized_limit,
     trajectory_growth,
@@ -71,10 +72,8 @@ def _letter_index(s: Substitution, a) -> int:
 
 
 class FrequencyTable(NamedTuple):
-    """Limit frequencies f_w(a) for all factors w up to ``max_len``, based
-    at letter ``a``.  Keys of ``entries`` are index tuples over the base
-    alphabet; words of the language carry their limit frequency and every
-    other word has frequency zero."""
+    """Limit frequencies f_w(a) of the factors w up to ``max_len``, based
+    at letter ``a``, keyed by index tuples."""
 
     substitution: Substitution
     base_letter: str
@@ -90,28 +89,10 @@ class FrequencyTable(NamedTuple):
             word = self.substitution.alphabet.encode(word)
         return self.entries.get(tuple(word), 0.0)
 
-    def words_of_length(self, n: int) -> list[Word]:
-        return [w for w in self.entries if len(w) == n]
-
-    def length_sum(self, n: int) -> float:
-        return lsum(self.entries[w] for w in self.words_of_length(n))
-
     @property
     def frequencies(self) -> dict[str, float]:
         dec = self.substitution.alphabet.decode
         return {dec(w): f for w, f in self.entries.items()}
-
-    def to_json_dict(self) -> dict:
-        """Export payload: base letter, power applied before analysis, the
-        word-to-frequency map (sorted by length, then word), and the growth
-        rate of the base letter's iterates."""
-        ordered = sorted(self.frequencies.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        return {
-            "base_letter": self.base_letter,
-            "power_used": self.power_used,
-            "frequencies": dict(ordered),
-            "growth_rate": self.growth_rate,
-        }
 
 
 class KirchhoffReport(NamedTuple):
@@ -120,11 +101,6 @@ class KirchhoffReport(NamedTuple):
 
     max_residual: float
     worst_word: str
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tol
 
 
 def _settled_limit(s: Substitution, a: int, n: int,
@@ -140,18 +116,15 @@ def _settled_limit(s: Substitution, a: int, n: int,
 
 
 class _InducedLimits:
-    """The limits ``f_n`` based at letter ``a``, for every length up to
-    ``top``, read off the letter limit through the substitution induced on
-    length-n words (see the module docstring).  ``report`` is the letter
-    limit's, on ``m1``, the incidence matrix of the stabilizing power
-    ``zs``; ``level(n)`` is memoized and keyed by ``language.factors(n)``,
-    code-point strings.
-    ``stable`` is ``words._stabilizing(s)``, whose matrix and decomposition
-    serve as ``zs``'s when the power is 1."""
+    """The limits ``f_n`` based at letter ``a`` for every length up to
+    ``top`` (see the module docstring).  ``report`` is the letter limit's,
+    on ``m1``, the incidence matrix of ``zs``; ``stable`` is
+    ``words._stabilizing(s)``."""
 
     def __init__(self, s: Substitution,
                  stable: tuple[int, ExactMatrix, BlockDecomposition], a: int,
                  top: int, tol: float, max_iter: int):
+        check_budget(tol, max_iter)
         power, m1, dec = stable
         zs = s
         if power > 1:
@@ -221,12 +194,8 @@ class _InducedLimits:
 
 def letter_frequencies(s: Substitution, a, tol: float = DEFAULT_TOL,
                        max_iter: int = DEFAULT_MAX_ITER):
-    """Limit frequencies of every letter inside ``zeta**t(a)``.
-
-    Returns ``(vector, report)`` where the vector is indexed by the
-    alphabet, sums to one, and is an eigenvector of the incidence matrix of
-    the substitution raised to its stabilizing power.
-    """
+    """Limit frequencies of the letters inside ``zeta**t(a)``: ``(vector,
+    report)``, the vector indexed by the alphabet, with sum one."""
     a = _letter_index(s, a)
     report = _InducedLimits(s, _stabilizing(s), a, 1, tol, max_iter).report
     return _settled_limit(s, a, 1, report), report
@@ -243,9 +212,8 @@ def growth_rate(s: Substitution, a, tol: float = DEFAULT_TOL,
 def factor_frequencies(s: Substitution, a, n: int,
                        tol: float = DEFAULT_TOL,
                        max_iter: int = DEFAULT_MAX_ITER) -> dict[Word, float]:
-    """Limit frequencies of all length-n factors inside ``zeta**t(a)``,
-    read off the letter limit.  The keys are the length-n factors of the
-    language; words outside it do not appear (their frequency is zero)."""
+    """Limit frequencies of the length-n factors inside ``zeta**t(a)``,
+    keyed by index tuples; words outside the language do not appear."""
     if n < 2:
         raise ValueError("use letter_frequencies for length 1")
     a = _letter_index(s, a)
@@ -257,16 +225,10 @@ def factor_frequencies(s: Substitution, a, n: int,
 def frequency_table(s: Substitution, a, max_len: int,
                     tol: float = DEFAULT_TOL,
                     max_iter: int = DEFAULT_MAX_ITER) -> FrequencyTable:
-    """Build the full frequency table for lengths 1..max_len from level
-    ``max_len`` alone.
-
-    A shorter word's entry is the sum of level ``max_len`` over the words it
-    is a prefix of (the right Kirchhoff condition), so it is exactly zero
-    when no such word exists.  The table holds every letter and every
-    factor of each length 2..max_len.  ``growth_rate`` is the eigen-estimate
+    """The frequency table of lengths 1..max_len, from level ``max_len``
+    alone (see the module docstring).  ``growth_rate`` is the eigen-estimate
     ``||M x||_1`` of the letter marginal ``x``, ``M`` the incidence matrix
-    of the stabilizing power.
-    """
+    of the stabilizing power."""
     # a non-expanding input is reported before any argument error
     stable = _stabilizing(s)
     if max_len < 1:
@@ -299,12 +261,10 @@ def frequency_table(s: Substitution, a, max_len: int,
     return table
 
 
-def kirchhoff_check(table: FrequencyTable, tol: float = 1e-6) -> KirchhoffReport:
+def kirchhoff_check(table: FrequencyTable) -> KirchhoffReport:
     """Largest violation of ``omega(w) = sum_a omega(a w) = sum_a omega(w a)``
-    over all table words shorter than ``max_len``.  A table built by
-    ``frequency_table`` meets the right extension ``sum_a omega(w a)`` by
-    construction (up to float rounding), so on such a table this tests the
-    left extension: the shift invariance of the limit."""
+    over all table words shorter than ``max_len``; on a table of
+    ``frequency_table`` only the left one can fail."""
     k = len(table.substitution.alphabet)
     entries = table.entries
     # one pass over the table: lefts[u][b] = omega(b u), rights[u][b] = omega(u b)
@@ -326,7 +286,7 @@ def kirchhoff_check(table: FrequencyTable, tol: float = 1e-6) -> KirchhoffReport
         if violation > worst:
             worst = violation
             worst_word = table.substitution.alphabet.decode(w)
-    return KirchhoffReport(max_residual=worst, worst_word=worst_word, tol=tol)
+    return KirchhoffReport(max_residual=worst, worst_word=worst_word)
 
 
 def measure_cylinder(s: Substitution, a, word,

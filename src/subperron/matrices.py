@@ -22,20 +22,12 @@ SparseRow = tuple[tuple[int, int], ...]
 
 
 class ExactMatrix:
-    """Square non-negative matrix with arbitrary-precision integer entries.
-
-    Stored by its non-zeros: ``rows[i]`` holds the pairs ``(j, m_ij)`` with
-    ``m_ij > 0``, sorted by ``j``.  Incidence matrices of substitutions and
-    of their blow-ups have as many non-zeros as letters in all images, far
-    fewer than ``n**2``, and every kernel here walks only those.
-    ``entries`` is the dense view (a tuple of rows), built on demand for
-    small-matrix callers.
-
-    Instances are immutable; all arithmetic returns new matrices.  Entry
-    ``(i, j)`` counts flow from coordinate ``j`` into coordinate ``i``
-    (column-vector action), so the associated digraph has an edge ``j -> i``
-    whenever ``entries[i][j] > 0``.
-    """
+    """Immutable square non-negative integer matrix, stored by its
+    non-zeros: ``rows[i]`` holds the pairs ``(j, m_ij)`` with ``m_ij > 0``,
+    sorted by ``j`` (an incidence matrix has one per letter of its images,
+    far fewer than ``n**2``).  Entry ``(i, j)`` counts flow from coordinate
+    ``j`` into coordinate ``i``, so the digraph has an edge ``j -> i``
+    whenever it is positive."""
 
     __slots__ = ("n", "rows")
 
@@ -246,19 +238,10 @@ class BlockDecomposition(_Blocks):
     def block_of(self, original_index: int) -> int:
         return self.block_index[original_index]
 
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(stop - start for start, stop in self.spans)
-
     def is_pb_frobenius(self) -> bool:
         """Every diagonal block primitive or power bounded (Def. of the
         PB-Frobenius form)."""
         return all(c is not BlockClass.IMPRIMITIVE for c in self.classes)
-
-    def is_primitive_frobenius(self) -> bool:
-        """Every diagonal block primitive, or 1x1 with entry 0 or 1."""
-        return all(
-            c in (BlockClass.PRIMITIVE, BlockClass.ZERO_ONE) for c in self.classes
-        )
 
     def is_expanding(self) -> bool:
         """Every block grows (primitive or imprimitive) or depends on one
@@ -269,11 +252,6 @@ class BlockDecomposition(_Blocks):
             grows[i] or any(grows[j] for j in self.dependency[i])
             for i in range(self.num_blocks)
         )
-
-    def permuted(self, m: ExactMatrix) -> ExactMatrix:
-        """The matrix with rows/columns reordered by ``perm`` (lower block
-        triangular by construction)."""
-        return m.submatrix(self.perm)
 
 
 def _successors(m: ExactMatrix) -> list[list[int]]:
@@ -455,10 +433,8 @@ def _build_decomposition(m: ExactMatrix, blocks: list[list[int]],
     ordered = [blocks[k] for k in position_of]
     ordered_classes = [classes[k] for k in position_of]
     new_index = {old: new for new, old in enumerate(position_of)}
-    out_new: list[set[int]] = [set() for _ in blocks]
-    for a, targets in enumerate(out):
-        out_new[new_index[a]] = {new_index[b] for b in targets}
-    reach = _transitive_closure(out_new)
+    reach = _transitive_closure(
+        [{new_index[b] for b in out[old]} for old in position_of])
     perm: list[int] = []
     spans: list[tuple[int, int]] = []
     for comp in ordered:
@@ -470,14 +446,8 @@ def _build_decomposition(m: ExactMatrix, blocks: list[list[int]],
 
 
 def scc_blocks(m: ExactMatrix) -> BlockDecomposition:
-    """Block decomposition into strongly connected components.
-
-    The returned permutation makes the matrix lower block triangular, with
-    blocks topologically ordered (flow sources first) and each block
-    classified as primitive, power bounded, 1x1 zero/one, or imprimitive
-    (the latter flags irreducible blocks of period >= 2 with growth, which
-    must be removed by passing to a power).
-    """
+    """Block decomposition into strongly connected components, ordered
+    topologically (flow sources first), each with its ``BlockClass``."""
     adj = _successors(m)
     sccs = _tarjan_sccs(adj)
     classes = [_classify_scc(m, adj, comp) for comp in sccs]

@@ -9,6 +9,7 @@ the limit is read off the deflated snapshot ``(M - lambda I)**d x``.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 from . import _linalg
@@ -30,10 +31,26 @@ EIG_TOL = 1e-9
 #: Collatz-Wielandt bracket width certifying a PF eigenvalue
 PF_BRACKET_WIDTH = 1e-12
 
+#: residual bound of a principal eigenvector, relative to its root and norm
+EIGVEC_TOL = 1e-9
+
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 20000
 
 FloatVector = tuple[float, ...]
+
+
+def check_budget(tol: float = 0.0, max_iter: int = 0,
+                 shown: str | None = None) -> None:
+    """Raise ValueError "<name> must be ... >= 0, got <shown or repr>"
+    unless ``max_iter`` is an integer >= 0 and ``tol`` a finite float >= 0
+    (not nan); the command line's argument types call it too."""
+    if not isinstance(max_iter, int) or max_iter < 0:
+        raise ValueError(
+            f"max_iter must be an integer >= 0, got {shown or repr(max_iter)}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(
+            f"tol must be a finite float >= 0, got {shown or repr(tol)}")
 
 
 class GrowthType(NamedTuple):
@@ -41,12 +58,6 @@ class GrowthType(NamedTuple):
 
     lam: float
     degree: int
-
-    def value_log(self, t: int) -> float:
-        """log h(t); requires lam > 0 and t >= 1."""
-        import math
-
-        return t * math.log(self.lam) + self.degree * math.log(t)
 
 
 class ConvergenceReport(NamedTuple):
@@ -77,25 +88,21 @@ class PrincipalEigenvector(NamedTuple):
     pf_support: tuple[int, ...]
     dependency_support: tuple[int, ...]
 
-    @property
-    def normalized(self) -> FloatVector:
-        s = lsum(self.vector)
-        return tuple(x / s for x in self.vector)
 
-
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= EIG_TOL * max(1.0, abs(a), abs(b))
+def _same_root(x: float, y: float, exact: bool) -> bool:
+    """Whether the roots ``x`` and ``y`` tie.  A 1x1 block's root is its
+    entry, exact as a float below ``2**53``, so two such roots (``exact``)
+    tie only when equal; other roots tie within a relative ``EIG_TOL``."""
+    if exact and max(x, y) < 2.0**53:
+        return x == y
+    return abs(x - y) <= EIG_TOL * max(1.0, abs(x), abs(y))
 
 
 def _tied(dec: BlockDecomposition, eigenvalues: Sequence[float],
           b: int, c: int) -> bool:
-    """Whether blocks ``b`` and ``c`` share their root.  A 1x1 block's root
-    is its entry, exact as a float below ``2**53``, so two such blocks tie
-    only on equal entries; other roots tie within ``EIG_TOL``."""
-    x, y = eigenvalues[b], eigenvalues[c]
-    if len(dec.members(b)) == len(dec.members(c)) == 1 and max(x, y) < 2.0**53:
-        return x == y
-    return _close(x, y)
+    """Whether blocks ``b`` and ``c`` share their root."""
+    return _same_root(eigenvalues[b], eigenvalues[c],
+                      len(dec.members(b)) == len(dec.members(c)) == 1)
 
 
 def l1_norm(v: Sequence[float]) -> float:
@@ -274,14 +281,11 @@ def block_eigenvalues(m: ExactMatrix, dec: BlockDecomposition) -> tuple[float, .
 def _longest_chain(dec: BlockDecomposition, candidates: set[int]) -> int:
     """Longest chain b_k > b_{k-1} > ... > b_1 inside ``candidates`` (each
     block depending on the next), by DP in topological index order."""
-    if not candidates:
-        return 0
-    length = {b: 1 for b in candidates}
+    length: dict[int, int] = {}
     for b in sorted(candidates):
-        preds = [a for a in candidates if b in dec.dependency[a]]
-        if preds:
-            length[b] = 1 + max(length[a] for a in preds)
-    return max(length.values())
+        length[b] = 1 + max((length[a] for a in length
+                             if b in dec.dependency[a]), default=0)
+    return max(length.values(), default=0)
 
 
 def _maximal(dec: BlockDecomposition, eigenvalues: Sequence[float],
@@ -308,22 +312,6 @@ def growth_type(dec: BlockDecomposition, eigenvalues: Sequence[float],
     return trajectory_growth(dec, eigenvalues, dec.members(i))
 
 
-def cone_growth_type(dec: BlockDecomposition, eigenvalues: Sequence[float],
-                     cone_blocks: set[int]) -> GrowthType:
-    """Growth type of an invariant block cone (maximal growth type over its
-    blocks)."""
-    _require_invariant_cone(dec, cone_blocks)
-    return _growth_of(dec, eigenvalues, set(cone_blocks))
-
-
-def _require_invariant_cone(dec: BlockDecomposition, cone_blocks: set[int]) -> None:
-    for b in cone_blocks:
-        if not set(dec.dependency[b]) <= set(cone_blocks):
-            raise ValueError(
-                f"cone is not invariant: block {b} depends on blocks outside it"
-            )
-
-
 def dominant_interior_contains(dec: BlockDecomposition,
                                eigenvalues: Sequence[float],
                                cone_blocks: set[int],
@@ -332,7 +320,10 @@ def dominant_interior_contains(dec: BlockDecomposition,
     longest chain of maximal-eigenvalue blocks realizing the cone's growth
     type has strictly positive ``v`` on every index of every chain block."""
     cone_blocks = set(cone_blocks)
-    _require_invariant_cone(dec, cone_blocks)
+    for b in cone_blocks:
+        if not dec.dependency[b] <= cone_blocks:
+            raise ValueError(
+                f"cone is not invariant: block {b} depends on blocks outside it")
     cone_indices = {idx for b in cone_blocks for idx in dec.members(b)}
     for idx, val in enumerate(v):
         if val != 0.0 and idx not in cone_indices:
@@ -370,36 +361,24 @@ def normalized_limit(m: ExactMatrix, v0: Sequence[int],
     """Normalized limit of ``M**t v0 / ||M**t v0||_1`` for an expanding
     matrix in PB-Frobenius form.
 
-    Iterates with exact integers (rescaled by a common right-shift every 64
-    steps to cap bit growth), renormalizing the float snapshot to l1 = 1.
-
     When the trajectory's growth type ``lam**t * t**d`` (from block data)
-    has ``d = 0``, the snapshot itself is watched: the run stops when both
-    the successive difference and the eigen-residual ``||M x - lam * x||_1``
-    (with ``lam = ||M x||_1``) are within ``tol``.  When ``d >= 1`` (equal
-    block eigenvalues along a chain) the snapshot approaches its limit only
-    like ``1/t``, and a stopping rule on it would fire far from the limit.
-    The run then watches the float read-out ``normalize((M - lam I)**d x)``
-    of each snapshot, with negatives clamped to 0, which converges
-    geometrically to the same limit (see ``_deflate``).  It stops when
-    the read-out's successive difference, its eigen-residual and the gap
-    between its eigen-estimate and ``lam`` are all strictly below ``tol``
-    (strictly, because a read-out can be an exact float fixed point:
-    ``[[2, 0], [1, 2]]`` from ``(1, 0)`` gives ``(0, 1)`` at every step),
-    and reports the read-out as the limit.
+    has ``d = 0``, the run stops once the snapshot's successive difference
+    and its eigen-residual ``||M x - lam_hat x||_1`` (``lam_hat = ||M x||_1``)
+    are within ``tol``.  When ``d >= 1`` the snapshot comes within only
+    ``1/t`` of its limit, so the run watches the read-out of ``_deflate``
+    and stops once its successive difference, its eigen-residual and the
+    gap between its eigen-estimate and ``lam`` are all strictly below
+    ``tol`` (strictly, because a read-out can be an exact float fixed point:
+    ``[[2, 0], [1, 2]]`` from ``(1, 0)`` gives ``(0, 1)`` at every step).
 
-    The residual, a float matvec, is computed only at steps whose
-    successive difference passes its test.  The reported eigenvalue and
-    residual are those of the reported vector.  If the budget runs out the
-    report carries the snapshot of the final exact iterate, its eigenvalue
-    and residual, with ``converged=False`` and a diagnostic.  A run at ``tol=0`` with
-    ``d >= 1`` never settles, so it always runs its whole budget and
-    returns the final iterate.
-
+    The residual is computed only at steps whose successive difference
+    passes its test, and is that of the reported vector.  When the budget
+    runs out, as it always does at ``tol=0`` with ``d >= 1``, the report
+    carries the final snapshot with ``converged=False`` and a diagnostic.
     ``dec`` and ``eigenvalues``, when given, are ``scc_blocks(m)`` and
-    ``block_eigenvalues(m, dec)`` from the caller, and are not computed
-    again.
+    ``block_eigenvalues(m, dec)``, and are not computed again.
     """
+    check_budget(tol, max_iter)
     if dec is None:
         dec = scc_blocks(m)
     if not dec.is_pb_frobenius():
@@ -467,7 +446,7 @@ def classify_limit_case(dec: BlockDecomposition, eigenvalues: Sequence[float],
     lam = eigenvalues[i]
     u = max(dec.dependency[i], key=eigenvalues.__getitem__, default=None)
     if u is None:
-        return 2 if _close(lam, 0.0) else 1
+        return 2 if lam == 0.0 else 1
     if _tied(dec, eigenvalues, i, u):
         return 2
     return 1 if lam > eigenvalues[u] else 3
@@ -487,8 +466,8 @@ def principal_blocks(dec: BlockDecomposition,
 
 
 def principal_eigenvector(m: ExactMatrix, dec: BlockDecomposition,
-                          eigenvalues: Sequence[float], i: int,
-                          tol: float = 1e-9) -> PrincipalEigenvector:
+                          eigenvalues: Sequence[float],
+                          i: int) -> PrincipalEigenvector:
     """The unique (up to scale) non-negative eigenvector supported on a
     principal block plus its dependency union.
 
@@ -531,10 +510,10 @@ def principal_eigenvector(m: ExactMatrix, dec: BlockDecomposition,
     # relative to ||M v|| ~ lam ||v||: a huge root leaves a large absolute
     # rounding residual
     residual = l1_dist(float_matvec(m, v), [lam * c for c in v])
-    if residual > tol * lam * l1_norm(v):
+    if residual > EIGVEC_TOL * lam * l1_norm(v):
         raise SubperronError(
             f"principal eigenvector residual {residual:.3e} exceeds "
-            f"{tol:.1e} * lam * ||v||; upstream misclassification likely"
+            f"{EIGVEC_TOL:.1e} * lam * ||v||; upstream misclassification likely"
         )
     return PrincipalEigenvector(
         block=i, eigenvalue=lam, vector=tuple(v),
@@ -555,12 +534,14 @@ def eigencone_membership(m: ExactMatrix, dec: BlockDecomposition,
     mass of the remainder on the block, clamped at 0, and that multiple of
     the block's eigenvector is taken off the remainder (which starts as
     ``v``).  ``v`` is in the cone when the l1 norm of what is left is at
-    most ``tol``."""
+    most ``tol``.  A block's root matches ``lam`` by the tie rule of
+    ``_tied``, with a whole-number ``lam`` standing for a 1x1 root."""
     if any(x < -tol for x in v) or l1_norm(v) == 0.0:
         raise ValueError("v must be non-negative and non-zero")
     rest = [float(x) for x in v]
+    whole = float(lam).is_integer()
     for i in sorted(principal_blocks(dec, eigenvalues)):
-        if _close(eigenvalues[i], lam):
+        if _same_root(eigenvalues[i], lam, whole and len(dec.members(i)) == 1):
             c = max(0.0, lsum(rest[idx] for idx in dec.members(i)))
             pe = principal_eigenvector(m, dec, eigenvalues, i)
             rest = [x - c * y for x, y in zip(rest, pe.vector)]

@@ -9,6 +9,7 @@ word and extends to words by concatenation.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ImageOverflowError, NotExpandingError, ParseError
@@ -247,8 +248,8 @@ class _Language:
 def _translate(word: str, table: Sequence[str]) -> str:
     """The image of a code-point string under the substitution whose images
     are ``table``, refused before it is built when longer than
-    ``MAX_IMAGE_LENGTH``."""
-    new_len = sum(map(len, map(table.__getitem__, map(ord, word))))
+    ``MAX_IMAGE_LENGTH``; ``Counter`` counts each letter in one C loop."""
+    new_len = sum(k * len(table[ord(c)]) for c, k in Counter(word).items())
     if new_len > MAX_IMAGE_LENGTH:
         raise ImageOverflowError(f"image length {new_len} exceeds "
                                  f"{MAX_IMAGE_LENGTH}")
@@ -296,13 +297,9 @@ def factor_alphabet(s: Substitution, n: int) -> FactorAlphabet:
 
 
 def blow_up(s: Substitution, n: int) -> tuple[Substitution, FactorAlphabet]:
-    """The level-n blow-up substitution on the alphabet of length-n factors.
-
-    The image of ``w = x_1 ... x_n`` is the ordered list of the first
-    ``|zeta(x_1)|`` sliding length-n factors of ``zeta(w)``; in particular
-    ``|zeta_n(w)| = |zeta(x_1)|``.  Letters are the factors in the order of
-    ``factor_alphabet``.
-    """
+    """The level-n blow-up substitution on the length-n factors, in the
+    order of ``factor_alphabet``: the image of ``w = x_1 ... x_n`` is the
+    list of the first ``|zeta(x_1)|`` length-n windows of ``zeta(w)``."""
     # a level below 2 is reported first, by ``_blow_up``
     if n >= 2 and not is_expanding_subst(s):
         raise NotExpandingError("substitution is not expanding")
@@ -340,12 +337,11 @@ def _blow_up(s: Substitution, n: int) -> tuple[Substitution, FactorAlphabet]:
 def _from_rule_pairs(pairs: Sequence[tuple[str, str]]) -> Substitution:
     if not pairs:
         raise ParseError("no substitution rules")
-    lhs_seen = {}
+    letters_set: set[str] = set()
     for lhs, _ in pairs:
-        if lhs in lhs_seen:
+        if lhs in letters_set:
             raise ParseError(f"duplicate rule for letter {lhs!r}")
-        lhs_seen[lhs] = True
-    letters_set = set(lhs_seen)
+        letters_set.add(lhs)
     single = all(len(ltr) == 1 for ltr in letters_set)
 
     def tokens_of(image: str) -> list[str]:
@@ -363,17 +359,11 @@ def _from_rule_pairs(pairs: Sequence[tuple[str, str]]) -> Substitution:
         return out
 
     tokenized = [(lhs, tokens_of(img)) for lhs, img in pairs]
-    order: list[str] = []
-    for lhs, toks in tokenized:
-        if lhs not in order:
-            order.append(lhs)
-        for t in toks:
-            if t not in order:
-                order.append(t)
-    alphabet = Alphabet(order)
-    images: dict[str, list[int]] = {}
-    for lhs, toks in tokenized:
-        images[lhs] = [alphabet.index_of(t) for t in toks]
+    # letters in order of first appearance, left-hand sides and images alike
+    alphabet = Alphabet(dict.fromkeys(
+        t for lhs, toks in tokenized for t in (lhs, *toks)))
+    images = {lhs: [alphabet.index_of(t) for t in toks]
+              for lhs, toks in tokenized}
     return Substitution(alphabet, [images[ltr] for ltr in alphabet.letters])
 
 

@@ -1,5 +1,6 @@
 """Letter and factor frequencies, Kirchhoff conditions, cylinder measures."""
 
+import json
 import math
 
 import pytest
@@ -17,8 +18,10 @@ from subperron import (
     kirchhoff_check,
     letter_frequencies,
     measure_cylinder,
+    normalized_limit,
     stabilizing_power,
 )
+from subperron.cli import main
 from subperron.frequencies import FrequencyTable
 from subperron.spectral import _Trajectory, float_matvec, l1_dist
 
@@ -164,7 +167,8 @@ class TestFrequencyTable:
         assert tab.power_used == 1
         assert tab.max_len == 3
         for n in (1, 2, 3):
-            assert tab.length_sum(n) == pytest.approx(1.0, abs=1e-8)
+            total = sum(f for w, f in tab.entries.items() if len(w) == n)
+            assert total == pytest.approx(1.0, abs=1e-8)
         assert tab.omega("ab") == pytest.approx(F_AB, abs=1e-8)
         assert tab.omega("bb") == 0.0
         # aaa is not a factor, so omega(aab) = omega(aa) by Kirchhoff
@@ -173,16 +177,14 @@ class TestFrequencyTable:
 
     def test_kirchhoff_on_fibonacci(self, fib):
         tab = frequency_table(fib, "a", max_len=3)
-        report = kirchhoff_check(tab, tol=1e-6)
-        assert report.passed
+        report = kirchhoff_check(tab)
         assert report.max_residual <= 1e-9
 
     def test_kirchhoff_on_slow_reducible(self, aab_bb):
         # a reducible input whose limit is read off the deflated iterate
         # (growth degree 1 at every level)
         tab = frequency_table(aab_bb, "a", max_len=3, tol=1e-6)
-        report = kirchhoff_check(tab, tol=1e-6)
-        assert report.passed
+        report = kirchhoff_check(tab)
         assert report.max_residual <= 1e-9
 
     def test_corrupted_entry_detected(self, fib):
@@ -231,15 +233,19 @@ class TestFrequencyTable:
                     assert abs(tab.entries[(i,)] - x) <= 1e-9, (name, a)
                 for n in (2, 3, 4):
                     freqs = factor_frequencies(s, a, n, tol=1e-10)
-                    assert set(freqs) == set(tab.words_of_length(n))
+                    assert set(freqs) == {w for w in tab.entries
+                                          if len(w) == n}
                     for w, x in freqs.items():
                         assert abs(tab.entries[w] - x) <= 1e-9, (name, a, w)
 
-    def test_json_export_keys(self, fib):
-        tab = frequency_table(fib, "a", max_len=2)
-        payload = tab.to_json_dict()
+    def test_json_export_keys(self, tmp_path, capsys):
+        path = tmp_path / "fib.sub"
+        path.write_text("a -> ab\nb -> a\n")
+        assert main(["freq", str(path), "--letter", "a", "--max-len", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert list(payload) == [
-            "base_letter", "power_used", "frequencies", "growth_rate"]
+            "base_letter", "power_used", "frequencies", "growth_rate",
+            "kirchhoff_max_residual"]
         assert payload["base_letter"] == "a"
         assert payload["power_used"] == 1
         assert list(payload["frequencies"]) == ["a", "b", "aa", "ab", "ba"]
@@ -314,3 +320,45 @@ class TestMeasureCylinder:
         s = Substitution.from_rules([("a", "ab"), ("b", "b")])
         with pytest.raises(NotExpandingError):
             measure_cylinder(s, "a", "a")
+
+
+class TestArgumentRanges:
+    """Each library entry point refuses a ``max_iter`` below 0 and a
+    ``tol`` that is negative or not finite, with the command line's
+    wording, before any tolerance is divided."""
+
+    ENTRY_POINTS = {
+        "normalized_limit": lambda fib, **kw: normalized_limit(
+            fib.incidence_matrix(), [1, 0], **kw),
+        "letter_frequencies": lambda fib, **kw: letter_frequencies(
+            fib, "a", **kw),
+        "growth_rate": lambda fib, **kw: growth_rate(fib, "a", **kw),
+        "factor_frequencies": lambda fib, **kw: factor_frequencies(
+            fib, "a", 3, **kw),
+        "frequency_table": lambda fib, **kw: frequency_table(
+            fib, "a", 3, **kw),
+        "measure_cylinder": lambda fib, **kw: measure_cylinder(
+            fib, "a", "ab", **kw),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iter": -5}, "max_iter must be an integer >= 0, got -5"),
+        ({"tol": math.nan}, "tol must be a finite float >= 0, got nan"),
+        ({"tol": -1.0}, "tol must be a finite float >= 0, got -1.0"),
+        ({"tol": math.inf}, "tol must be a finite float >= 0, got inf"),
+    ])
+    def test_refused(self, fib, entry, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            self.ENTRY_POINTS[entry](fib, **kwargs)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_zero_is_legal(self, fib, entry):
+        # a budget of 0 steps is spent at once and does not settle
+        call = self.ENTRY_POINTS[entry]
+        if entry == "normalized_limit":
+            assert not call(fib, tol=0, max_iter=0).converged
+        else:
+            with pytest.raises(MaxIterError, match="did not settle"):
+                call(fib, tol=0, max_iter=0)

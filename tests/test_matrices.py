@@ -20,6 +20,11 @@ from conftest import (has_zero_column, is_entrywise_positive, mat_pow_apply,
                       max_entry, random_pb_frobenius_expanding)
 
 
+#: the classes of a block of a primitive-Frobenius matrix: primitive, or
+#: 1x1 with entry 0 or 1
+PRIMITIVE_FROBENIUS = {BlockClass.PRIMITIVE, BlockClass.ZERO_ONE}
+
+
 def e(n, i):
     v = [0] * n
     v[i] = 1
@@ -208,7 +213,7 @@ class TestSccBlocks:
 
     def test_eight_by_eight_blocks(self, m8, dec8):
         assert dec8.num_blocks == 4
-        assert dec8.block_sizes() == (2, 2, 2, 2)
+        assert [stop - start for start, stop in dec8.spans] == [2, 2, 2, 2]
         assert [dec8.members(i) for i in range(4)] == [
             (0, 1), (2, 3), (4, 5), (6, 7)]
         assert all(c is BlockClass.PRIMITIVE for c in dec8.classes)
@@ -228,7 +233,7 @@ class TestSccBlocks:
             m = ExactMatrix([[rng.randint(0, 2) if rng.random() < 0.4 else 0
                               for _ in range(n)] for _ in range(n)])
             dec = scc_blocks(m)
-            perm_m = dec.permuted(m)
+            perm_m = m.submatrix(dec.perm)
             assert sorted(dec.perm) == list(range(n))
             block_at = [None] * n
             for b, (start, stop) in enumerate(dec.spans):
@@ -279,7 +284,7 @@ class TestFrobeniusPowers:
         t, dec = primitive_frobenius_power(m8)
         assert t == 1
         assert dec.num_blocks == 4
-        assert dec.block_sizes() == (2, 2, 2, 2)
+        assert [stop - start for start, stop in dec.spans] == [2, 2, 2, 2]
 
     def test_outputs_satisfy_defining_predicates(self):
         rng = random.Random(5)
@@ -295,7 +300,7 @@ class TestFrobeniusPowers:
                 mt = m.pow(t)
                 assert dec.is_pb_frobenius()
                 if primitive_only:
-                    assert dec.is_primitive_frobenius()
+                    assert set(dec.classes) <= PRIMITIVE_FROBENIUS
                 for i in range(dec.num_blocks):
                     sub = mt.submatrix(dec.members(i))
                     cls = dec.classes[i]
@@ -306,7 +311,7 @@ class TestFrobeniusPowers:
                     else:
                         assert is_power_bounded(sub)
                 # lower block triangular for the powered matrix
-                perm_mt = dec.permuted(mt)
+                perm_mt = mt.submatrix(dec.perm)
                 block_at = [None] * n
                 for b, (start, stop) in enumerate(dec.spans):
                     for p in range(start, stop):
@@ -345,7 +350,8 @@ class TestOffDiagonalPositivity:
         while count < 6:
             m = random_pb_frobenius_expanding(rng, max_n=5)
             dec = scc_blocks(m)
-            if not dec.is_primitive_frobenius() or has_zero_column(m):
+            if (not set(dec.classes) <= PRIMITIVE_FROBENIUS
+                    or has_zero_column(m)):
                 continue
             count += 1
             self._assert_positivity(m)

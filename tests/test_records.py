@@ -35,7 +35,7 @@ FIELDS = {
                            "dependency_support"),
     FrequencyTable: ("substitution", "base_letter", "power_used", "max_len",
                      "entries", "growth_rate", "iterations"),
-    KirchhoffReport: ("max_residual", "worst_word", "tol"),
+    KirchhoffReport: ("max_residual", "worst_word"),
     BlockDecomposition: ("n", "perm", "spans", "classes", "dependency",
                          "block_index"),
 }

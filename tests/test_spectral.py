@@ -90,17 +90,20 @@ class TestGrowthType:
         assert growth_type(dec, eig, 0) == (0.0, 0)
 
     def test_cone_growth_types(self, dec8, eig8):
-        from subperron import cone_growth_type
+        # an invariant cone grows as the trajectories started on its members
+        def cone_growth(blocks):
+            return trajectory_growth(
+                dec8, eig8, [i for b in blocks for i in dec8.members(b)])
 
-        full = cone_growth_type(dec8, eig8, {0, 1, 2, 3})
+        full = cone_growth({0, 1, 2, 3})
         assert full.lam == pytest.approx(LAM_A, abs=1e-10)
         assert full.degree == 1
         # the eigenvalue-maximal chain inside {B_2, B_3, B_4} is B_3 alone
-        extra = cone_growth_type(dec8, eig8, {1, 2, 3})
+        extra = cone_growth({1, 2, 3})
         assert extra.lam == pytest.approx(LAM_A, abs=1e-10)
         assert extra.degree == 0
-        with pytest.raises(ValueError):
-            cone_growth_type(dec8, eig8, {0})
+        with pytest.raises(ValueError, match="not invariant"):
+            dominant_interior_contains(dec8, eig8, {0}, [0.0] * 8)
 
 
 class TestDominantInterior:
@@ -331,7 +334,8 @@ class TestGrowthNormalizationBound:
                 norm = sum(w)
                 log_norm = math.log(norm >> max(0, norm.bit_length() - 53)) + \
                     max(0, norm.bit_length() - 53) * math.log(2)
-                log_ratios.append(log_norm - growth.value_log(t))
+                log_h = t * math.log(growth.lam) + growth.degree * math.log(t)
+                log_ratios.append(log_norm - log_h)
             window = log_ratios[199:400]
             assert max(window) - min(window) <= math.log(1.5)
 
@@ -448,6 +452,16 @@ class TestEigencone:
     def test_no_matching_eigenvalue(self):
         m, dec, eig = analysis([[2, 0], [1, 2]])
         assert not eigencone_membership(m, dec, eig, (0.0, 1.0), 7.0)
+
+    def test_distinct_1x1_roots_within_eig_tol(self):
+        # both blocks are principal, and their roots 10**9 and 10**9 + 1
+        # agree within EIG_TOL; each spans the cone of its own root alone
+        m, dec, eig = analysis([[10**9, 0], [0, 10**9 + 1]])
+        assert sorted(principal_blocks(dec, eig)) == [0, 1]
+        assert not eigencone_membership(m, dec, eig, (0.0, 1.0), 1e9)
+        assert not eigencone_membership(m, dec, eig, (1.0, 0.0), 1e9 + 1)
+        assert eigencone_membership(m, dec, eig, (1.0, 0.0), 1e9)
+        assert eigencone_membership(m, dec, eig, (0.0, 1.0), 1e9 + 1)
 
     def test_two_block_cone(self, case3_matrix):
         m = case3_matrix

@@ -18,6 +18,7 @@ from subperron import (
     parse_substitution,
     scc_blocks,
     stabilizing_power,
+    words,
 )
 
 from conftest import (apply_str, count_occurrences, count_occurrences_str,
@@ -167,6 +168,24 @@ class TestSubstitutionPower:
         s = Substitution.from_rules([("a", "a" * 10)])
         with pytest.raises(ImageOverflowError):
             s.power(9)
+
+    @pytest.mark.parametrize("k", [1, 2, 20, 300])
+    def test_guard_counts_the_image_length(self, monkeypatch, k):
+        # the guard's length is that of the translation, on code-point
+        # words over k letters whose images have 0 to 5 letters
+        rng = random.Random(k)
+        table = ["".join(chr(rng.randrange(k)) for _ in range(rng.randrange(6)))
+                 for _ in range(k)]
+        for _ in range(25):
+            word = "".join(chr(rng.randrange(k))
+                           for _ in range(rng.randrange(3000)))
+            image = word.translate(table)
+            monkeypatch.setattr(words, "MAX_IMAGE_LENGTH", len(image))
+            assert words._translate(word, table) == image
+            monkeypatch.setattr(words, "MAX_IMAGE_LENGTH", len(image) - 1)
+            with pytest.raises(ImageOverflowError, match=(
+                    f"^image length {len(image)} exceeds {len(image) - 1}$")):
+                words._translate(word, table)
 
 
 class TestCountOccurrences:
