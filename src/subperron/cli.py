@@ -65,6 +65,9 @@ def _convergence_dict(report: ConvergenceReport, start: Sequence[int]) -> dict:
         "growth": {"lambda": round12(report.growth.lam),
                    "degree": report.growth.degree},
         "converged": report.converged,
+        # only the principal-eigenvector route settles without a step
+        "route": "principal eigenvector"
+        if report.converged and not report.iterations else "iterated",
     }
 
 

@@ -10,7 +10,7 @@ the limit is read off the deflated snapshot ``(M - lambda I)**d x``.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import _linalg
 from ._linalg import lsum
@@ -345,11 +345,13 @@ def trajectory_growth(dec: BlockDecomposition, eigenvalues: Sequence[float],
                       support: Sequence[int]) -> GrowthType:
     """Growth type of trajectories started on the given coordinate support:
     that of the downward closure of the touched blocks."""
+    return _growth_of(dec, eigenvalues, _closure(dec, support))
+
+
+def _closure(dec: BlockDecomposition, support: Sequence[int]) -> set[int]:
+    """The blocks of the coordinates ``support`` and every block they feed."""
     touched = {dec.block_of(idx) for idx in support}
-    closure = set(touched)
-    for b in touched:
-        closure |= set(dec.dependency[b])
-    return _growth_of(dec, eigenvalues, closure)
+    return touched.union(*(dec.dependency[b] for b in touched))
 
 
 def normalized_limit(m: ExactMatrix, v0: Sequence[int],
@@ -360,6 +362,13 @@ def normalized_limit(m: ExactMatrix, v0: Sequence[int],
                      ) -> ConvergenceReport:
     """Normalized limit of ``M**t v0 / ||M**t v0||_1`` for an expanding
     matrix in PB-Frobenius form.
+
+    The limit lies in the cone spanned by the principal eigenvectors of the
+    root ``lam`` in the closure of ``v0``.  When the closure holds exactly
+    one principal block of root ``lam`` (``_heads``), the cone is a ray, and
+    the report carries that block's l1-normalized principal eigenvector with
+    ``iterations=0``, provided it passes the strict test of a ``d >= 1``
+    step below (so never at ``tol=0``).  Otherwise the run iterates.
 
     When the trajectory's growth type ``lam**t * t**d`` (from block data)
     has ``d = 0``, the run stops once the snapshot's successive difference
@@ -394,8 +403,24 @@ def normalized_limit(m: ExactMatrix, v0: Sequence[int],
         raise ValueError("v0 must be non-negative and non-zero")
     if eigenvalues is None:
         eigenvalues = block_eigenvalues(m, dec)
-    growth = trajectory_growth(dec, eigenvalues,
-                               [i for i, c in enumerate(v0) if c])
+    closure = _closure(dec, [i for i, c in enumerate(v0) if c])
+    growth = _growth_of(dec, eigenvalues, closure)
+    heads = _heads(dec, eigenvalues, growth.lam, closure)
+    try:
+        # one head: the cone of the limit theorem is a ray, no step to take
+        v = (principal_eigenvector(m, dec, eigenvalues, heads[0]).vector
+             if len(heads) == 1 else None)
+    except SubperronError:  # its solve or its residual test failed
+        v = None
+    if v is not None:
+        norm = l1_norm(v)
+        x = tuple(c / norm for c in v)
+        lam_hat, residual = _measure(m, x)
+        if residual < tol and (growth.degree == 0
+                               or abs(lam_hat - growth.lam) < tol):
+            return ConvergenceReport(
+                limit=x, eigenvalue=lam_hat, iterations=0,
+                residual=residual, growth=growth, converged=True)
     traj = _Trajectory(m, v0)
     # the vector the stopping rule watches and a settled run reports
     x = _deflate(m, growth, traj.x) if growth.degree else traj.x
@@ -465,6 +490,18 @@ def principal_blocks(dec: BlockDecomposition,
             if classify_limit_case(dec, eigenvalues, i) == 1}
 
 
+def _heads(dec: BlockDecomposition, eigenvalues: Sequence[float],
+           lam: float, blocks: Iterable[int]) -> list[int]:
+    """The principal blocks among ``blocks`` whose root ties ``lam``, in
+    flow order: the heads whose eigenvectors span the limit cone of ``lam``.
+    The tie rule is that of ``_same_root``, exact when the block is 1x1 and
+    ``lam`` a whole number (a value a 1x1 root can take)."""
+    whole = float(lam).is_integer()
+    heads = principal_blocks(dec, eigenvalues).intersection(blocks)
+    return sorted(i for i in heads if _same_root(
+        eigenvalues[i], lam, whole and len(dec.members(i)) == 1))
+
+
 def principal_eigenvector(m: ExactMatrix, dec: BlockDecomposition,
                           eigenvalues: Sequence[float],
                           i: int) -> PrincipalEigenvector:
@@ -530,21 +567,18 @@ def eigencone_membership(m: ExactMatrix, dec: BlockDecomposition,
     The coefficients are read off the blocks.  Each principal eigenvector
     has l1 mass 1 on its own block, and no principal block feeds another of
     the same root, so the eigenvector of one such block vanishes on the
-    others.  For each matching block in flow order, the coefficient is the
-    mass of the remainder on the block, clamped at 0, and that multiple of
-    the block's eigenvector is taken off the remainder (which starts as
+    others.  For each block of ``_heads`` in flow order, the coefficient is
+    the mass of the remainder on the block, clamped at 0, and that multiple
+    of the block's eigenvector is taken off the remainder (which starts as
     ``v``).  ``v`` is in the cone when the l1 norm of what is left is at
-    most ``tol``.  A block's root matches ``lam`` by the tie rule of
-    ``_tied``, with a whole-number ``lam`` standing for a 1x1 root."""
+    most ``tol``."""
     if any(x < -tol for x in v) or l1_norm(v) == 0.0:
         raise ValueError("v must be non-negative and non-zero")
     rest = [float(x) for x in v]
-    whole = float(lam).is_integer()
-    for i in sorted(principal_blocks(dec, eigenvalues)):
-        if _same_root(eigenvalues[i], lam, whole and len(dec.members(i)) == 1):
-            c = max(0.0, lsum(rest[idx] for idx in dec.members(i)))
-            pe = principal_eigenvector(m, dec, eigenvalues, i)
-            rest = [x - c * y for x, y in zip(rest, pe.vector)]
+    for i in _heads(dec, eigenvalues, lam, range(dec.num_blocks)):
+        c = max(0.0, lsum(rest[idx] for idx in dec.members(i)))
+        pe = principal_eigenvector(m, dec, eigenvalues, i)
+        rest = [x - c * y for x, y in zip(rest, pe.vector)]
     return l1_norm(rest) <= tol
 
 

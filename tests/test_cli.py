@@ -503,10 +503,19 @@ class TestArgumentRanges:
         "freq": ("freq", "fib.sub", "--letter", "a", "--max-len", "1"),
         "measure": ("measure", "fib.sub", "--letter", "a", "--word", "a"),
     }
+    # starts whose closure holds two principal blocks of the top root, so
+    # that they settle only by iterating
+    TWO_HEADS = {
+        "analyze-matrix": ("analyze-matrix", "two.txt", "--vector", "0,0,1"),
+        "freq": ("freq", "two.sub", "--letter", "t", "--max-len", "1"),
+        "measure": ("measure", "two.sub", "--letter", "t", "--word", "a"),
+    }
 
-    def argv(self, workdir, command, *extra):
-        name, file, *rest = self.COMMANDS[command]
+    def argv(self, workdir, command, *extra, starts=COMMANDS):
+        name, file, *rest = starts[command]
         (workdir / "fib2.txt").write_text("1 1\n1 0\n")
+        (workdir / "two.txt").write_text("10 0 1\n0 10 1\n0 0 9\n")
+        (workdir / "two.sub").write_text("t -> tab\na -> aa\nb -> bb\n")
         return (name, workdir / file, *rest, *extra)
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -529,12 +538,21 @@ class TestArgumentRanges:
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_zero_is_legal(self, capsys, workdir, command):
-        # tol 0 never settles, so a budget of 0 or 3 steps is spent: a
-        # warning from analyze-matrix, exit 4 from the frequency commands
-        for extra in (("--tol", "0", "--max-iter", "3"), ("--max-iter", "0")):
-            code, out, err = run(capsys, *self.argv(workdir, command, *extra))
+        # tol 0 never settles, nor does a start with two heads without a
+        # step, so a budget of 3 or 0 steps is spent: a warning from
+        # analyze-matrix, exit 4 from the frequency commands
+        for starts, extra in ((self.COMMANDS, ("--tol", "0", "--max-iter", "3")),
+                              (self.TWO_HEADS, ("--max-iter", "0"))):
+            code, out, err = run(capsys, *self.argv(workdir, command, *extra,
+                                                    starts=starts))
             if command == "analyze-matrix":
                 assert code == 0 and "converged=False" in out
                 assert "max_iter=" in err
             else:
                 assert code == 4 and "did not settle" in err
+        # a start with one head settles on its principal eigenvector
+        code, out, err = run(capsys, *self.argv(workdir, command,
+                                                "--max-iter", "0"))
+        assert code == 0 and err == ""
+        if command == "analyze-matrix":
+            assert "iterations=0 converged=True" in out

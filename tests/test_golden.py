@@ -10,7 +10,10 @@ run
 
     PYTHONPATH=src python tests/test_golden.py --check
 
-which prints the cases whose stdout differs and exits 1 when any does.  To
+which prints the cases whose stdout differs and exits 1 when any does.  A
+case whose text differs only in its numbers is printed with the largest
+absolute change among them, so that a rewrite can be checked against the
+case's ``--tol``.  To
 rewrite the golden files of some commands with the ``subperron`` that is
 on the import path (for instance that of another checkout), run
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -95,6 +99,28 @@ def _expected(case: str) -> str:
     return (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
 
 
+NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+
+
+def largest_change(got: str, want: str) -> float | None:
+    """The largest absolute change between the numbers of ``got`` and
+    ``want``, in order; None when the texts differ outside their numbers."""
+    if NUMBER.split(got) != NUMBER.split(want):
+        return None
+    return max((abs(float(x) - float(y)) for x, y in
+                zip(NUMBER.findall(got), NUMBER.findall(want))), default=0.0)
+
+
+def _difference(case: str) -> str | None:
+    """None when ``case`` matches its golden file, else its line of
+    ``--check``: the case, and the largest change when only numbers move."""
+    got, want = _run(CASES[case]), _expected(case)
+    if got == want:
+        return None
+    change = largest_change(got, want)
+    return case if change is None else f"{case}: largest change {change:.3g}"
+
+
 def pytest_generate_tests(metafunc):
     # parametrized by this hook, so that the module imports without pytest
     if "case" in metafunc.fixturenames:
@@ -105,10 +131,19 @@ def test_golden_stdout(case):
     assert _run(CASES[case]) == _expected(case)
 
 
+def test_largest_change():
+    got = 'exit 0\n{"a": 0.61803398875, "t": 12, "w": "y1"}\n'
+    want = 'exit 0\n{"a": 0.618033985017, "t": 12, "w": "y1"}\n'
+    assert abs(largest_change(got, want) - 3.733e-9) < 1e-15
+    assert largest_change(want, want) == 0.0
+    assert largest_change("1e-3 -2", "0.001 -2.0") == 0.0
+    assert largest_change(got.replace("t", "u"), want) is None
+    assert largest_change(got + "1\n", want) is None
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--check"]:
-        differ = [case for case in sorted(CASES)
-                  if _run(CASES[case]) != _expected(case)]
+        differ = [line for line in map(_difference, sorted(CASES)) if line]
         print("\n".join(differ + [f"{len(CASES) - len(differ)}/{len(CASES)} "
                                    "golden cases match"]))
         sys.exit(1 if differ else 0)

@@ -25,13 +25,27 @@ from subperron import (
     principal_eigenvector,
     scc_blocks,
 )
-from subperron.spectral import _Trajectory, l1_dist, float_matvec, trajectory_growth
+from subperron.spectral import (
+    _deflate,
+    _Trajectory,
+    float_matvec,
+    l1_dist,
+    trajectory_growth,
+)
 
-from conftest import mat_pow_apply
+from conftest import mat_pow_apply, random_pb_frobenius_expanding
 
 PHI = (1 + math.sqrt(5)) / 2
 LAM_A = 2 + math.sqrt(2)
 LAM_B = (3 + math.sqrt(5)) / 2
+
+
+#: two 1x1 heads of root 10, both fed by a root-9 start (e_3)
+TWO_HEADS = ExactMatrix([[10, 0, 1], [0, 10, 1], [0, 0, 9]])
+#: two Fibonacci blocks, both fed by a root-1 start (e_5)
+TWO_FIBONACCI = ExactMatrix([[1, 1, 0, 0, 1], [1, 0, 0, 0, 0],
+                             [0, 0, 1, 1, 1], [0, 0, 1, 0, 0],
+                             [0, 0, 0, 0, 1]])
 
 
 def e(n, i):
@@ -228,9 +242,9 @@ class TestNormalizedLimit:
         assert rep.eigenvalue - 2.0 == pytest.approx(2.0 / 4000, rel=0.1)
 
     def test_budget_exhaustion_returns_final_iterate(self):
-        # geometric at ratio 9/10: settling within 1e-12 takes 256 steps
-        m = ExactMatrix([[10, 0], [1, 9]])
-        rep = normalized_limit(m, e(2, 0), tol=1e-12, max_iter=100)
+        # two heads of root 10 fed at ratio 9/10, so the start picks their
+        # weights and the run iterates: settling within 1e-12 takes 263 steps
+        rep = normalized_limit(TWO_HEADS, e(3, 2), tol=1e-12, max_iter=100)
         assert not rep.converged
         assert rep.iterations == 100
         assert rep.diagnostic is not None
@@ -243,14 +257,14 @@ class TestNormalizedLimit:
             lam = sum(y)
             return lam, l1_dist(y, [lam * c for c in x])
 
-        # tol 0 never asks for the residual before the end; from e_5 at
-        # tol 4e-7 the successive difference is within tol from t = 48 on,
-        # so the residual is computed at earlier steps too, and stays above
-        # tol until t = 51
-        for start, tol in ((0, 0), (4, 4e-7)):
-            rep = normalized_limit(m8, e(8, start), tol=tol, max_iter=50)
+        # tol 0 never asks for the residual before the end; from the two
+        # heads' e_3 at tol 1e-3 the successive difference is within tol
+        # from t = 45 on, so the residual is computed at earlier steps too,
+        # and stays above tol until t = 66
+        for m, v0, tol in ((m8, e(8, 0), 0), (TWO_HEADS, e(3, 2), 1e-3)):
+            rep = normalized_limit(m, v0, tol=tol, max_iter=50)
             assert not rep.converged and rep.iterations == 50
-            assert (rep.eigenvalue, rep.residual) == measured(m8, rep.limit)
+            assert (rep.eigenvalue, rep.residual) == measured(m, rep.limit)
 
         with pytest.raises(MaxIterError) as exc_info:
             frequency_table(aab_bb, "a", max_len=3, tol=0, max_iter=50)
@@ -260,9 +274,10 @@ class TestNormalizedLimit:
         x1 = [table.entries[(i,)] for i in range(m1.n)]
         assert table.growth_rate == measured(m1, x1)[0]
 
-    def test_residual_only_at_steps_within_tol(self, m8, monkeypatch):
+    def test_residual_only_at_steps_within_tol(self, monkeypatch):
         # the residual's float matvec runs once at each step whose successive
-        # difference is within tol (e_5 at 1e-10: 4 of 82 steps), never else
+        # difference is within tol (TWO_HEADS from e_3 at 1e-10: 22 of 219
+        # steps), never else; starts with two heads iterate
         import subperron.spectral as spectral
 
         calls = []
@@ -273,12 +288,12 @@ class TestNormalizedLimit:
             return matvec(m, x)
 
         monkeypatch.setattr(spectral, "float_matvec", counting)
-        for i in (4, 5, 6, 7):
+        for m, v0 in ((TWO_HEADS, e(3, 2)), (TWO_FIBONACCI, e(5, 4))):
             for tol in (1e-10, 1e-6):
                 calls.clear()
-                rep = normalized_limit(m8, e(8, i), tol=tol)
+                rep = normalized_limit(m, v0, tol=tol)
                 assert rep.converged and rep.growth.degree == 0
-                traj = _Trajectory(m8, e(8, i))
+                traj = _Trajectory(m, v0)
                 within = 0
                 for _ in range(rep.iterations):
                     traj.step()
@@ -312,6 +327,72 @@ class TestNormalizedLimit:
         denominator = float(total >> shift)
         expected = [float(x >> shift) / denominator for x in exact]
         assert l1_dist(traj.x, expected) < 1e-12
+
+
+def _stepped_limit(m, v0, growth, tol):
+    """The limit of ``v0`` by stepping ``_Trajectory``, read through
+    ``_deflate`` when ``d >= 1``: the first read-out whose successive
+    difference ``delta`` is below ``tol / 10``, and whose geometric tail
+    ``delta r / (1 - r)`` is too, ``r`` the largest of the last three ratios
+    of successive differences.  A start whose subdominant ratio is near 1
+    (about 0.99 on matrix 84 of the seed-7 generator) is still up to 17
+    ``tol`` from its limit at the first difference below ``tol / 10``."""
+    traj = _Trajectory(m, v0)
+    x = _deflate(m, growth, traj.x) if growth.degree else traj.x
+    diffs = []
+    while traj.t < 20000:
+        traj.step()
+        prev, x = x, _deflate(m, growth, traj.x) if growth.degree else traj.x
+        if x is None or prev is None:
+            continue
+        diffs = (diffs + [l1_dist(x, prev)])[-4:]
+        if not any(diffs) and len(diffs) == 4:
+            return x
+        if diffs[-1] < tol / 10 and len(diffs) == 4 and all(diffs[:-1]):
+            r = max(b / a for a, b in zip(diffs, diffs[1:]))
+            if r < 1 and diffs[-1] * r / (1 - r) < tol / 10:
+                return x
+    raise AssertionError(f"no stepped limit within {traj.t} steps")
+
+
+class TestPrincipalRoute:
+    """A start whose closure holds one principal block of its top root (one
+    head) takes that block's principal eigenvector without a step; a start
+    with two or more heads iterates."""
+
+    @pytest.fixture(scope="class")
+    def matrices(self, m8):
+        # the first 120 matrices of the seed-7 generator hold 6 unit starts
+        # with two 1x1 heads (matrices 103 and 114); TWO_FIBONACCI's e_5 has
+        # two 2x2 heads
+        rng = random.Random(7)
+        return [m8, TWO_HEADS, TWO_FIBONACCI] + [
+            random_pb_frobenius_expanding(rng) for _ in range(120)]
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_one_head_takes_the_principal_eigenvector(self, matrices, tol):
+        counts = {"one": 0, "two": 0, "degree": 0}
+        for m in matrices:
+            dec = scc_blocks(m)
+            eig = block_eigenvalues(m, dec)
+            principal = principal_blocks(dec, eig)
+            for i in range(m.n):
+                rep = normalized_limit(m, e(m.n, i), tol=tol, dec=dec,
+                                       eigenvalues=eig)
+                b = dec.block_of(i)
+                lam = rep.growth.lam
+                heads = [c for c in principal & {b, *dec.dependency[b]}
+                         if abs(eig[c] - lam) <= 1e-9 * lam]
+                if len(heads) >= 2:
+                    counts["two"] += 1
+                    assert rep.iterations > 0, (m.rows, i)
+                    continue
+                counts["one"] += 1
+                counts["degree"] += rep.growth.degree > 0
+                assert rep.converged and rep.iterations == 0, (m.rows, i)
+                stepped = _stepped_limit(m, e(m.n, i), rep.growth, tol)
+                assert l1_dist(rep.limit, stepped) <= tol, (m.rows, i)
+        assert counts == {"one": 490, "two": 8, "degree": 21}
 
 
 class TestGrowthNormalizationBound:
