@@ -83,12 +83,6 @@ class FrequencyTable(NamedTuple):
     growth_rate: float
     iterations: int
 
-    def omega(self, word) -> float:
-        """The weight f_w(a); zero for words outside the language."""
-        if isinstance(word, str):
-            word = self.substitution.alphabet.encode(word)
-        return self.entries.get(tuple(word), 0.0)
-
     @property
     def frequencies(self) -> dict[str, float]:
         dec = self.substitution.alphabet.decode

@@ -200,7 +200,9 @@ class _Blocks(NamedTuple):
 
 
 class BlockDecomposition(_Blocks):
-    """Ordered block partition of a matrix, lower block triangular.
+    """Ordered block partition of a matrix, lower block triangular: the
+    blocks go by the longest flow path from a source block, then by
+    smallest original index (``_order_blocks``).
 
     ``perm[p]`` is the original index placed at permuted position ``p``;
     ``spans`` are ``(start, stop)`` ranges in permuted positions;
@@ -263,52 +265,42 @@ def _successors(m: ExactMatrix) -> list[list[int]]:
     return adj
 
 
-def _tarjan_sccs(adj: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan; returns SCCs as sorted index lists."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
+def _sccs(m: ExactMatrix, adj: list[list[int]]) -> list[list[int]]:
+    """Kosaraju-Sharir: a depth-first pass over the successor lists ``adj``
+    gives the finishing order; a second pass, from each unassigned vertex
+    in reverse finishing order, collects over the predecessors ``m.rows``
+    what it reaches.  The components, as sorted index lists, come out in
+    flow order: every edge between two goes from the earlier one."""
+    seen = [False] * m.n
+    finished: list[int] = []
+    for root in range(m.n):
+        if seen[root]:
             continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+        seen[root] = True
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            v, it = stack[-1]
+            for w in it:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(adj[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+            else:
+                stack.pop()
+                finished.append(v)
+    assigned = [False] * m.n
+    sccs: list[list[int]] = []
+    for root in reversed(finished):
+        if assigned[root]:
+            continue
+        assigned[root] = True
+        comp = [root]
+        for v in comp:
+            for u, _ in m.rows[v]:
+                if not assigned[u]:
+                    assigned[u] = True
+                    comp.append(u)
+        sccs.append(sorted(comp))
     return sccs
 
 
@@ -399,25 +391,18 @@ def _transitive_closure(out: list[set[int]]) -> list[frozenset[int]]:
 
 
 def _order_blocks(blocks: list[list[int]], out: list[set[int]]) -> list[int]:
-    """Topological order of blocks: Kahn layering (sources of the flow DAG
-    first), ties within a layer broken by smallest original index."""
-    k = len(blocks)
-    indeg = [0] * k
-    for a in range(k):
-        for b in out[a]:
-            indeg[b] += 1
-    order: list[int] = []
-    layer = sorted((a for a in range(k) if indeg[a] == 0), key=lambda a: blocks[a][0])
-    while layer:
-        order.extend(layer)
-        nxt = []
-        for a in layer:
-            for b in out[a]:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    nxt.append(b)
-        layer = sorted(nxt, key=lambda a: blocks[a][0])
-    return order
+    """The block order of every decomposition, which fixes the block
+    numbers of every report: by the longest flow path from a source block,
+    then by smallest original index.  ``blocks`` must come in flow order
+    (every edge ``a -> b`` of ``out`` has ``a < b``), so one forward pass
+    gives each block's longest path."""
+    depth = [0] * len(blocks)
+    for a, targets in enumerate(out):
+        for b in targets:
+            if b < a:
+                raise ValueError("blocks are not in flow order")
+            depth[b] = max(depth[b], depth[a] + 1)
+    return sorted(range(len(blocks)), key=lambda a: (depth[a], blocks[a][0]))
 
 
 def _build_decomposition(m: ExactMatrix, blocks: list[list[int]],
@@ -428,8 +413,6 @@ def _build_decomposition(m: ExactMatrix, blocks: list[list[int]],
             block_of[v] = k
     out = _block_dag_edges(m, block_of, len(blocks))
     position_of = _order_blocks(blocks, out)
-    if len(position_of) != len(blocks):
-        raise ValueError("block graph is not acyclic")
     ordered = [blocks[k] for k in position_of]
     ordered_classes = [classes[k] for k in position_of]
     new_index = {old: new for new, old in enumerate(position_of)}
@@ -446,10 +429,11 @@ def _build_decomposition(m: ExactMatrix, blocks: list[list[int]],
 
 
 def scc_blocks(m: ExactMatrix) -> BlockDecomposition:
-    """Block decomposition into strongly connected components, ordered
-    topologically (flow sources first), each with its ``BlockClass``."""
+    """Block decomposition into strongly connected components, each with
+    its ``BlockClass``, ordered by the longest flow path from a source
+    block, then by smallest original index."""
     adj = _successors(m)
-    sccs = _tarjan_sccs(adj)
+    sccs = _sccs(m, adj)
     classes = [_classify_scc(m, adj, comp) for comp in sccs]
     return _build_decomposition(m, sccs, classes)
 
@@ -500,8 +484,8 @@ def _frobenius_partition(m: ExactMatrix, dec: BlockDecomposition,
     """``(t, blocks, classes)``: the least power ``t`` at which every
     imprimitive block of ``dec = scc_blocks(m)`` (with ``split_cyclic``,
     also every cyclic permutation block) splits into its cyclic classes;
-    the blocks of ``m**t`` (those classes and the other blocks) and their
-    classes.  Takes no power of ``m``."""
+    the blocks of ``m**t`` (those classes and the other blocks, in flow
+    order) and their classes.  Takes no power of ``m``."""
     adj = _successors(m)
     exponent = 1
     blocks: list[list[int]] = []

@@ -1,6 +1,7 @@
 """Exact matrix arithmetic, parsing, and block-structure machinery."""
 
 import random
+import sys
 
 import pytest
 
@@ -8,6 +9,7 @@ from subperron import (
     BlockClass,
     ExactMatrix,
     ParseError,
+    blow_up,
     is_expanding,
     is_power_bounded,
     is_primitive,
@@ -15,7 +17,9 @@ from subperron import (
     pb_frobenius_power,
     primitive_frobenius_power,
     scc_blocks,
+    stabilizing_power,
 )
+from subperron.matrices import _build_decomposition, _frobenius_power
 from conftest import (has_zero_column, is_entrywise_positive, mat_pow_apply,
                       max_entry, random_pb_frobenius_expanding)
 
@@ -245,6 +249,127 @@ class TestSccBlocks:
                     if perm_m.entries[p][q] > 0:
                         assert block_at[p] >= block_at[q], (
                             "entry above the block diagonal")
+
+
+def reference_order(m, blocks):
+    """The decomposition contract by definition, for the partition
+    ``blocks`` of ``m``'s indices: the blocks in Kahn's full-layer order
+    over the one-step flow edges between them (every block whose
+    predecessors are all placed, together, then the next such layer), ties
+    broken by smallest index; and for each block, in that order, the
+    positions of the blocks that a path from it reaches."""
+    block_of = {v: k for k, comp in enumerate(blocks) for v in comp}
+    out = [set() for _ in blocks]
+    for i, row in enumerate(m.entries):
+        for j, x in enumerate(row):
+            if x and block_of[i] != block_of[j]:
+                out[block_of[j]].add(block_of[i])
+    order, placed = [], set()
+    while len(order) < len(blocks):
+        layer = [a for a in range(len(blocks)) if a not in placed
+                 and all(a not in out[b] for b in range(len(blocks))
+                         if b not in placed)]
+        assert layer, "the block graph has a cycle"
+        order += sorted(layer, key=lambda a: min(blocks[a]))
+        placed.update(layer)
+    position = {a: p for p, a in enumerate(order)}
+    dependency = []
+    for a in order:
+        seen, queue = set(), [a]
+        for b in queue:
+            for c in out[b] - seen:
+                seen.add(c)
+                queue.append(c)
+        dependency.append(frozenset(position[c] for c in seen))
+    return [tuple(sorted(blocks[a])) for a in order], dependency
+
+
+def reference_sccs(m):
+    """The classes of mutual reachability, by a search from each index."""
+    reach = []
+    for v in range(m.n):
+        seen, queue = {v}, [v]
+        for u in queue:
+            for i in range(m.n):
+                if m.entry(i, u) and i not in seen:
+                    seen.add(i)
+                    queue.append(i)
+        reach.append(seen)
+    return sorted({tuple(sorted(u for u in reach[v] if v in reach[u]))
+                   for v in range(m.n)})
+
+
+def assert_contract(m, dec, blocks):
+    members = [dec.members(i) for i in range(dec.num_blocks)]
+    assert (members, list(dec.dependency)) == reference_order(m, blocks), m
+    assert dec.perm == sum(members, ())
+    assert all(dec.block_of(v) == i
+               for i, comp in enumerate(members) for v in comp)
+
+
+def random_sparse(rng):
+    """A random sparse matrix of size at most 12; one in three is a
+    permutation of cycles with a few extra entries."""
+    n = rng.randint(1, 12)
+    if rng.random() < 1 / 3:
+        rows = [[0] * n for _ in range(n)]
+        for v, w in enumerate(rng.sample(range(n), n)):
+            rows[w][v] = 1
+        for _ in range(rng.randint(0, 3)):
+            rows[rng.randrange(n)][rng.randrange(n)] += rng.randint(1, 2)
+        return ExactMatrix(rows)
+    p = rng.choice([0.05, 0.1, 0.2, 0.35])
+    return ExactMatrix([[rng.randint(1, 3) if rng.random() < p else 0
+                         for _ in range(n)] for _ in range(n)])
+
+
+class TestDecompositionContract:
+    """``scc_blocks`` and ``_frobenius_power`` against ``reference_order``:
+    the block order fixes the B-numbers of every report."""
+
+    @pytest.fixture(scope="class")
+    def matrices(self, corpus):
+        rng = random.Random(20261019)
+        out = [random_sparse(rng) for _ in range(2000)]
+        rng = random.Random(7)
+        out += [random_pb_frobenius_expanding(rng) for _ in range(100)]
+        for s in corpus.values():
+            zs = s.power(stabilizing_power(s))
+            out += [blow_up(zs, n)[0].incidence_matrix() for n in (2, 3, 16)]
+        return out
+
+    def test_scc_blocks(self, matrices):
+        for m in matrices:
+            dec = scc_blocks(m)
+            assert_contract(m, dec, reference_sccs(m))
+
+    def test_frobenius_power_keeps_the_order(self, matrices):
+        for m in matrices:
+            dec = scc_blocks(m)
+            for split_cyclic in (False, True):
+                _, mt, dec_t = _frobenius_power(m, dec, split_cyclic)
+                blocks = [dec_t.members(i) for i in range(dec_t.num_blocks)]
+                assert_contract(mt, dec_t, blocks)
+
+    def test_path_deeper_than_the_recursion_limit(self):
+        # the path 2999 -> 2998 -> ... -> 0, closed by 0 -> 2998: a
+        # depth-first search from 0 runs 2999 vertices deep
+        n = 3000
+        assert sys.getrecursionlimit() < n
+        rows = [((i + 1, 1),) for i in range(n - 2)]
+        rows += [((0, 1), (n - 1, 1)), ()]
+        dec = scc_blocks(ExactMatrix.from_nonzeros(rows))
+        assert dec.perm == (n - 1, *range(n - 1))
+        assert dec.spans == ((0, 1), (1, n))
+        assert dec.classes == (BlockClass.ZERO_ONE, BlockClass.POWER_BOUNDED)
+        assert dec.dependency == (frozenset({1}), frozenset())
+
+    def test_refuses_blocks_out_of_flow_order(self):
+        m = ExactMatrix([[0, 0], [1, 0]])  # the edge 0 -> 1
+        classes = [BlockClass.ZERO_ONE] * 2
+        assert _build_decomposition(m, [[0], [1]], classes).perm == (0, 1)
+        with pytest.raises(ValueError, match="flow order"):
+            _build_decomposition(m, [[1], [0]], classes)
 
 
 class TestFrobeniusPowers:

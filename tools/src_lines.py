@@ -1,5 +1,5 @@
 """Count the code, docstring, comment and blank lines of each module of
-``src/subperron``, or, with ``--names``, the references to each public name.
+``src/subperron``, or, with ``--names``, the references to each name.
 
 An empty or whitespace-only line counts as blank, also inside a docstring.
 Of the other lines, one inside a docstring (a string that opens a module,
@@ -7,15 +7,18 @@ class or function body) counts as docstring, one holding only a comment as
 comment, and every other line as code.  Each line counts once, so the four
 counts add up to the length of the module.
 
-``--names`` prints, for each name in ``subperron.__all__`` and each public
-member of its classes (fields, methods, properties, enum members), the
-number of references in the Python files under ``src/``, ``bench/`` and
-``tests/``.  A reference is a read of the name, an attribute read or a
-keyword argument of that name, or a string constant that spells it, alone
-or as the last part of a dotted path (``bench/tracing.py`` names its
-targets so).  Definitions, assignments and imports do not count.  Members
-are matched by name alone, so a member shares its count with every
-attribute of the same name.  Run from any directory:
+``--names`` prints, for each name in ``subperron.__all__``, each public
+member of its classes (fields, methods, properties, enum members) and each
+private function and class at the top level of a module (``matrices._sccs``),
+the number of references in the Python files under ``src/``, ``bench/`` and
+``tests/``, so that a helper left without a caller shows up.  A reference
+is a read of the name, an attribute read or a keyword argument of that
+name, or a string constant that spells it, alone or as the last part of a
+dotted path (``bench/tracing.py`` names its targets so).  Definitions,
+assignments and imports do not count.  Members and private names are
+matched by name alone, so each shares its count with every name or
+attribute so spelled (``bench/workloads._measure`` counts for
+``spectral._measure``).  Run from any directory:
 
     python tools/src_lines.py
     python tools/src_lines.py --names
@@ -94,6 +97,19 @@ def public_names() -> list[tuple[str, str, bool]]:
     return out
 
 
+def private_names() -> list[tuple[str, str, bool]]:
+    """``(shown, name, False)`` for each private function and class at the
+    top level of a module of the package, shown as ``module._name``."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                out.append((f"{path.stem}.{node.name}", node.name, False))
+    return out
+
+
 def names() -> int:
     counts = {}
     for tree in TREES:
@@ -104,7 +120,7 @@ def names() -> int:
             members += m
         counts[tree] = bare, members
     print(f"{'name':<40}" + "".join(f"{t:>7}" for t in TREES))
-    for shown, name, is_member in public_names():
+    for shown, name, is_member in public_names() + private_names():
         row = [counts[t][1][name] + (0 if is_member else counts[t][0][name])
                for t in TREES]
         print(f"{shown:<40}" + "".join(f"{k:>7}" for k in row))
