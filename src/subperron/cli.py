@@ -36,6 +36,7 @@ from .spectral import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     ConvergenceReport,
+    _power_pairs,
     block_eigenvalues,
     check_budget,
     growth_type,
@@ -78,6 +79,8 @@ def _matrix_report(m: ExactMatrix, dec0: BlockDecomposition,
     t_pb = _frobenius_partition(m, dec0, split_cyclic=False)[0]
     t_pf, mt, dec = _frobenius_power(m, dec0, split_cyclic=True)
     try:
+        if t_pf > 1:
+            _power_pairs(m, dec0, t_pf, mt, dec)
         eigenvalues = block_eigenvalues(mt, dec)
     except FloatRangeError as exc:
         raise FloatRangeError(

@@ -53,6 +53,7 @@ from .spectral import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     ConvergenceReport,
+    _power_pairs,
     block_eigenvalues,
     check_budget,
     float_matvec,
@@ -119,12 +120,13 @@ class _InducedLimits:
                  stable: tuple[int, ExactMatrix, BlockDecomposition], a: int,
                  top: int, tol: float, max_iter: int):
         check_budget(tol, max_iter)
-        power, m1, dec = stable
-        zs = s
+        power, m, dec0 = stable
+        zs, m1, dec = s, m, dec0
         if power > 1:
             zs = s.power(power)
             m1 = zs.incidence_matrix()
             dec = scc_blocks(m1)
+            _power_pairs(m, dec0, power, m1, dec)
         self.language, self.m1 = _Language(zs), m1
         z = self.language.z
         amplification = 1.0

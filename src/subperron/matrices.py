@@ -210,9 +210,11 @@ class BlockDecomposition(_Blocks):
     precedes in the flow order (mass started in block ``i`` eventually
     reaches block ``j``); ``block_index[v]`` is the block holding original
     index ``v``.  ``pf_pairs`` holds the block PF pairs that
-    ``spectral.pf_eigen_block`` certified, so that each is certified once
-    for as long as the decomposition is used; it lives outside the tuple,
-    so equality, hash and repr ignore it.
+    ``spectral.pf_eigen_block`` certified, and, on a power ``M**t``, those
+    that ``spectral._power_pairs`` took from the primitive blocks of ``M``,
+    so that each is certified once for as long as the decomposition is
+    used; it lives outside the tuple, so equality, hash and repr ignore
+    it.
     """
 
     def __setattr__(self, name, value):

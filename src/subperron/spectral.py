@@ -219,14 +219,44 @@ def pf_eigen_block(m: ExactMatrix, dec: BlockDecomposition,
 
     Power iteration on the block's non-zeros from the uniform vector; the
     Collatz-Wielandt bracket ``[min_i (Av)_i/v_i, max_i (Av)_i/v_i]``
-    certifies the eigenvalue once its width drops below
-    ``PF_BRACKET_WIDTH``.  The pair is stored on ``dec``, and later calls
-    for the same block and matrix read it back.
+    certifies the eigenvalue once its width drops below the absolute
+    ``PF_BRACKET_WIDTH``, which rounding can keep it from above a root of
+    about 1e4 (``MaxIterError`` after 500,000 steps).  The pair is stored
+    on ``dec``, and later calls for the same block and matrix read it back.
+    On a power ``M**t``, ``_power_pairs`` stores beforehand the pairs of
+    the blocks that are primitive blocks of ``M``, which are thus
+    certified on ``M`` and never on the power.
     """
     stored = dec.pf_pairs.get(i)
     if stored is None or stored[0] is not m:
         stored = dec.pf_pairs[i] = (m, _certify_pf(m, dec, i))
     return stored[1]
+
+
+def _power_pairs(m: ExactMatrix, dec0: BlockDecomposition, t: int,
+                 mt: ExactMatrix, dec: BlockDecomposition) -> None:
+    """Store on ``dec``, the decomposition of ``mt = m**t``, the PF pair of
+    each primitive block of ``mt`` with at least two members that is a
+    primitive block of ``dec0 = scc_blocks(m)``: the block of ``M**t`` over
+    a primitive block ``A`` of ``M`` is ``A**t``, whose root is
+    ``lam(A)**t`` and whose PF vector is ``A``'s.  The root is bracketed by
+    ``[lo**t, hi**t]`` of ``A``'s certificate, a relative width of about
+    ``t * PF_BRACKET_WIDTH / lam``.  Both decompositions list a block's
+    members in increasing order, so the vector needs no reordering.
+    Raises ``FloatRangeError`` naming block ``i`` when the root lies beyond
+    float range; a ``MaxIterError`` names the block of ``M`` (``dec0``)."""
+    for i in range(dec.num_blocks):
+        members = dec.members(i)
+        b = dec0.block_of(members[0])
+        if (len(members) < 2 or dec0.members(b) != members
+                or dec0.classes[b] is not BlockClass.PRIMITIVE):
+            continue
+        try:
+            lam, vector = pf_eigen_block(m, dec0, b)
+            dec.pf_pairs[i] = (mt, (lam ** t, vector))
+        except (OverflowError, FloatRangeError):
+            raise FloatRangeError(
+                f"block B{i + 1} has an entry beyond float range") from None
 
 
 def _certify_pf(m: ExactMatrix, dec: BlockDecomposition,
@@ -259,7 +289,9 @@ def _certify_pf(m: ExactMatrix, dec: BlockDecomposition,
         x = [v / s for v in y]
         if hi - lo <= PF_BRACKET_WIDTH:
             return (lo + hi) / 2.0, tuple(x)
-    raise MaxIterError("PF power iteration did not certify the eigenvalue")
+    raise MaxIterError(
+        f"PF power iteration did not certify the root of block B{i + 1}: "
+        f"bracket width {hi - lo:.1e} > {PF_BRACKET_WIDTH:g} after 500000 steps")
 
 
 def block_eigenvalues(m: ExactMatrix, dec: BlockDecomposition) -> tuple[float, ...]:

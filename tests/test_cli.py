@@ -3,12 +3,14 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import random_pb_frobenius_expanding
 from subperron import cli, errors, matrices, spectral, stabilizing_power, words
 from subperron.cli import main
 
@@ -26,6 +28,21 @@ M8_TEXT = (
     "3 1 0 0 0 0 0 0\n1 1 0 0 0 0 0 0\n1 2 2 1 0 0 0 0\n1 1 1 1 0 0 0 0\n"
     "4 0 0 0 3 1 0 0\n1 1 0 0 1 1 0 0\n0 3 1 3 2 3 2 1\n1 1 2 1 0 4 1 1\n"
 )
+
+
+def cycles_feeding(sizes, block, feeds):
+    """Rows of cycles of the given sizes followed by the 2x2 ``block``: the
+    first index of the k-th cycle feeds row ``feeds[k]`` of the block."""
+    n = sum(sizes) + 2
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for size, feed in zip(sizes, feeds):
+        for r in range(size):
+            rows[start + (r + 1) % size][start + r] = 1
+        rows[n - 2 + feed][start] = 1
+        start += size
+    rows[n - 2][n - 2:], rows[n - 1][n - 2:] = block
+    return rows
 
 
 @pytest.fixture
@@ -94,6 +111,35 @@ class TestAnalyzeMatrix:
         assert (code, out) == (4, "")
         assert err == ("error: M^1001 (primitive-Frobenius power): block B32 "
                        "has an entry beyond float range\n")
+
+    @pytest.mark.parametrize("sizes, block, feeds, base_root", [
+        # cycles14: a 5- and a 7-cycle feed [[2, 1], [3, 1]], t = 35
+        ((5, 7), [[2, 1], [3, 1]], (0, 1), (3 + 13**0.5) / 2),
+        # cyc7_11: a 7- and an 11-cycle feed [[2, 1], [1, 1]], t = 77
+        ((7, 11), [[2, 1], [1, 1]], (0, 0), (3 + 5**0.5) / 2),
+    ], ids=["cycles14", "cyc7_11"])
+    def test_power_block_takes_the_base_root(self, capsys, tmp_path, sizes,
+                                             block, feeds, base_root):
+        # the block of M^t over the 2x2 block is its t-th power: root
+        # lam**t, near 1.4e18 and 1.5e32, with the 2x2 block's PF vector,
+        # where certifying the power's block itself could not close its
+        # absolute bracket
+        rows = cycles_feeding(sizes, block, feeds)
+        path = tmp_path / "cycles.txt"
+        path.write_text("".join(" ".join(map(str, r)) + "\n" for r in rows))
+        code, out, err = run(capsys, "analyze-matrix", path, "--json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        t = math.lcm(*sizes)
+        assert report["primitive_frobenius_exponent"] == t
+        assert report["principal_blocks"] == [len(report["blocks"])]
+        mt = matrices.ExactMatrix(rows).pow(t).entries
+        for pe in report["principal_eigenvectors"]:
+            lam, v = pe["eigenvalue"], pe["vector"]
+            assert abs(lam - base_root**t) <= 1e-9 * base_root**t
+            mv = [math.fsum(float(a) * x for a, x in zip(row, v)) for row in mt]
+            residual = math.fsum(abs(y - lam * x) for y, x in zip(mv, v))
+            assert residual <= 1e-9 * lam * math.fsum(map(abs, v))
 
     @pytest.mark.parametrize("extra", [(), ("--vector", "1,0")])
     def test_entry_beyond_float_range_exits_4(self, capsys, tmp_path, extra):
@@ -246,6 +292,22 @@ class TestFreq:
         assert table["frequencies"]["a"] == pytest.approx(0.0, abs=2e-3)
         assert table["frequencies"]["b"] == pytest.approx(1.0, abs=2e-3)
 
+    def test_power_block_takes_the_base_root(self, capsys, tmp_path):
+        # a growing 8-cycle of letters feeds the block [[3, 1], [1, 1]] of
+        # a and b: the stabilizing power is 8, and the block's root there
+        # is (2 + sqrt 2)**8, about 18,464
+        path = tmp_path / "cyc8.sub"
+        path.write_text("a -> a a a b\nb -> a b\nc1 -> c2 c2 a\n" + "".join(
+            f"c{k} -> c{k % 8 + 1}\n" for k in range(2, 9)))
+        code, out, err = run(capsys, "freq", path, "--letter", "c1",
+                             "--max-len", "2")
+        assert (code, err) == (0, "")
+        table = json.loads(out)
+        assert table["power_used"] == 8
+        assert table["frequencies"]["a"] == pytest.approx(2**-0.5, abs=1e-6)
+        assert table["growth_rate"] == pytest.approx((2 + 2**0.5)**8,
+                                                     rel=1e-9)
+
     def test_budget_exceeded_exits_4(self, capsys, workdir):
         # tol 0 never settles: the run takes its whole budget
         code, _, err = run(capsys, "freq", workdir / "aab.sub",
@@ -357,6 +419,15 @@ class TestDecomposeOnce:
         assert counts["scc_blocks"] == 1
         assert pf_counts["certify"] == 4
 
+    def test_power_takes_the_pairs_of_the_base(self, capsys, pf_counts):
+        # case3's two primitive blocks are certified once, on M, for the
+        # report on M^2 and for the limit on M; its two zero/one blocks on
+        # M^2
+        code, _, _ = run(capsys, "analyze-matrix", self.INPUTS / "case3.mat",
+                         "--json", "--vector", "1,0,0,0,0,0")
+        assert code == 0
+        assert pf_counts["certify"] == 4
+
     def test_freq(self, capsys, pf_counts):
         code, _, _ = run(capsys, "freq", self.INPUTS / "fibonacci.sub",
                          "--letter", "a", "--max-len", "3")
@@ -404,6 +475,47 @@ class TestDecomposeOnce:
     def test_stabilizing_power(self, fib, counts):
         assert stabilizing_power(fib) == 1
         assert counts == {"scc_blocks": 1, "incidence_matrix": 1}
+
+
+class TestRootsFromTheBaseBlock:
+    """The primitive blocks of a power ``M^t`` that are primitive blocks of
+    ``M`` take ``lam**t`` and ``M``'s PF vector, where certifying them on
+    the power would raise ``MaxIterError`` above a root of about 1e4."""
+
+    #: the reference below certifies the power's blocks only when every
+    #: root lies below this: above it, the absolute bracket can stall for
+    #: the whole 500,000-step budget
+    CERTIFIED_BELOW = 1e4
+
+    def test_seeded_generator_agrees_with_certifying_the_power(self):
+        rng = random.Random(7)
+        powers = compared = 0
+        for _ in range(300):
+            m = random_pb_frobenius_expanding(rng, max_n=9, max_entry=4)
+            dec0 = matrices.scc_blocks(m)
+            t, mt, dec = matrices._frobenius_power(m, dec0, split_cyclic=True)
+            if t == 1:
+                continue
+            powers += 1
+            report = cli._matrix_report(m, dec0)  # raises no MaxIterError
+            roots = [b["eigenvalue"] for b in report["blocks"]]
+            if max(roots) >= self.CERTIFIED_BELOW:
+                continue
+            compared += 1
+            eig = [spectral._certify_pf(mt, dec, i)[0]
+                   for i in range(dec.num_blocks)]
+            for root, lam in zip(roots, eig):
+                assert abs(root - lam) <= spectral.EIG_TOL * lam
+            assert [b["growth"]["degree"] for b in report["blocks"]] == [
+                spectral.growth_type(dec, eig, i).degree
+                for i in range(dec.num_blocks)]
+            try:
+                principal = [i + 1 for i in
+                             sorted(spectral.principal_blocks(dec, eig))]
+            except errors.ZeroColumnError:
+                principal = None
+            assert report["principal_blocks"] == principal
+        assert (powers, compared) == (77, 71)
 
 
 class TestFrobeniusExponent:

@@ -67,7 +67,7 @@ def _cases() -> dict[str, list[str]]:
         cases[f"{name}.measure.last"] = [
             "measure", sub, "--letter", first, "--word", last]
     for name, n, starts in (("m8", 8, (4, 6)), ("case3", 6, (0, 2)),
-                            ("antidiag4", 4, (0,))):
+                            ("antidiag4", 4, (0,)), ("cycles14", 14, (0,))):
         mat = f"inputs/{name}.mat"
         cases[f"{name}.analyze-matrix"] = ["analyze-matrix", mat]
         cases[f"{name}.analyze-matrix.json"] = ["analyze-matrix", mat, "--json"]
