@@ -66,8 +66,8 @@ def _convergence_dict(report: ConvergenceReport, start: Sequence[int]) -> dict:
         "growth": {"lambda": round12(report.growth.lam),
                    "degree": report.growth.degree},
         "converged": report.converged,
-        # only the principal-eigenvector route settles without a step
-        "route": "principal eigenvector"
+        # only the block pass settles without a step
+        "route": "block pass"
         if report.converged and not report.iterations else "iterated",
     }
 

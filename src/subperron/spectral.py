@@ -1,10 +1,12 @@
 """Growth types, the normalized-iterate convergence engine, and the
 principal-eigenvector theory for matrices in PB-Frobenius form.
 
-The convergence engine iterates with exact integers and takes a float
-snapshot each step; renormalization is by l1 length.  Growth types are the
-functions ``lambda**t * t**d`` governing trajectory size; when ``d >= 1``
-the limit is read off the deflated snapshot ``(M - lambda I)**d x``.
+A limit and a principal eigenvector are both read off one pass over the
+blocks (``_block_pass``): the leading Laurent coefficient of the resolvent
+``(zI - M)**-1 v0`` at the top root ``lam``.  Growth types are the
+functions ``lambda**t * t**d`` governing trajectory size.  When the pass
+fails its test, the convergence engine iterates with exact integers and
+takes an l1-normalized float snapshot each step.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import (
     NotExpandingError,
     NotPBFrobeniusError,
     NotPrincipalError,
+    SingularSystemError,
     SubperronError,
     ZeroColumnError,
 )
@@ -185,29 +188,6 @@ class _Trajectory:
         self.x = x_new
 
 
-def _deflate(m: ExactMatrix, growth: GrowthType,
-             s: FloatVector) -> FloatVector | None:
-    """The read-out ``normalize((M - lam I)**d s)`` of a snapshot ``s`` of a
-    trajectory of growth type ``lam**t * t**d`` with ``d >= 1``.
-
-    The ``lam`` Jordan chain of the trajectory has length ``d + 1``
-    (Rothblum's index theorem), so ``(M - lam I)**d M**t v0`` has no
-    polynomial part: its ``lam`` component is the limit eigenvector itself,
-    and the read-out converges geometrically, at the ratio of the next
-    eigenvalue to ``lam``, where the snapshot only comes within ``1/t``.
-    Negative coordinates (rounding noise on coordinates that are zero in
-    the limit, and transients of the smaller eigenvalues) are clamped to 0;
-    a transient that moves the read-out still shows in its successive
-    difference and residual, as in the snapshot.  None while no coordinate
-    is positive.
-    """
-    r = s
-    for _ in range(growth.degree):
-        r = [y - growth.lam * c for y, c in zip(float_matvec(m, r), r)]
-    pos = lsum(c for c in r if c > 0.0)
-    return tuple(c / pos if c > 0.0 else 0.0 for c in r) if pos else None
-
-
 # ---------------------------------------------------------------------------
 # block eigenvalues and growth types
 
@@ -324,7 +304,7 @@ def _maximal(dec: BlockDecomposition, eigenvalues: Sequence[float],
              blocks: set[int]) -> set[int]:
     """The blocks in ``blocks`` (not empty) whose root ties the largest."""
     top = max(blocks, key=eigenvalues.__getitem__)
-    return {b for b in blocks if _tied(dec, eigenvalues, b, top)}
+    return {b for b in blocks if b == top or _tied(dec, eigenvalues, b, top)}
 
 
 def _growth_of(dec: BlockDecomposition, eigenvalues: Sequence[float],
@@ -386,6 +366,82 @@ def _closure(dec: BlockDecomposition, support: Sequence[int]) -> set[int]:
     return touched.union(*(dec.dependency[b] for b in touched))
 
 
+def _block_pass(m: ExactMatrix, dec: BlockDecomposition,
+                eigenvalues: Sequence[float], blocks: Iterable[int],
+                v0: Sequence[float]) -> FloatVector:
+    """The leading Laurent coefficient of ``(zI - M)**-1 v0`` at the top
+    root ``lam`` of ``blocks``, exactly the blocks that ``v0`` reaches: the
+    direction of ``M**t v0`` as ``t`` grows (Rothblum, "Expansions of sums
+    of matrix powers", SIAM Review 1981).
+
+    One pass in flow order gives each block the highest pole order among
+    its inputs: ``v0`` on the block counts as order 0, and a feeder's flow
+    ``M_ba x_a`` as the feeder's order.  A block whose root ties ``lam``
+    (``_maximal``) raises the order by one and takes the residue of its
+    resolvent, ``x = r (l . in) / (l . r)`` with ``r`` and ``l`` its right
+    and left PF vectors; every other block keeps the order and solves
+    ``(lam I - B) x = in``.  The coefficient is ``x`` on the blocks of the
+    top order, ``d + 1`` for growth ``lam**t t**d``, and 0 elsewhere; no
+    step subtracts, so it is non-negative.  The scales of tied blocks
+    weigh against each other only when two or more of them feed no tied
+    block; otherwise one scale multiplies the whole coefficient, and each
+    tied block takes ``x = r``.  ``l`` solves ``l (root I - B) = 0`` with
+    ``l_0 = 1``.  A tied cyclic block (the principal block of a
+    non-expanding report) has the uniform ``r``."""
+    blocks = sorted(blocks)
+    tied = _maximal(dec, eigenvalues, set(blocks))
+    lam = max(map(eigenvalues.__getitem__, blocks))
+    scaled = len(tied) > 1 and sum(
+        not dec.dependency[b] & tied for b in tied) > 1
+    level = [-1] * m.n  # the pole order at each coordinate
+    x = [0.0] * m.n
+    try:
+        for b in blocks:
+            members = dec.members(b)
+            q = max([0] + [level[j] for i in members for j, _ in m.rows[i]])
+            # a tied block needs its inflow only to be weighed
+            inflow = [(v0[i] if q == 0 else 0.0) + lsum(
+                a * x[j] for j, a in m.rows[i] if level[j] == q)
+                for i in members] if scaled or b not in tied else None
+            k = len(members)
+            if b in tied:
+                q += 1
+                xb = ([1.0 / k] * k if dec.classes[b] is BlockClass.POWER_BOUNDED
+                      else pf_eigen_block(m, dec, b)[1])
+                if scaled:
+                    s = _shifted_block(m, members, eigenvalues[b])
+                    left = [1.0] + _linalg.solve(
+                        [col[1:] for col in zip(*s)][1:], [-c for c in s[0][1:]])
+                    scale = (lsum(u * w for u, w in zip(left, inflow))
+                             / lsum(u * w for u, w in zip(left, xb)))
+                    xb = [scale * c for c in xb]
+            else:
+                s = _shifted_block(m, members, lam)
+                xb = [inflow[0] / s[0][0]] if k == 1 else _linalg.solve(s, inflow)
+            for i, c in zip(members, xb):
+                x[i], level[i] = c, q
+    except OverflowError:
+        raise FloatRangeError("a matrix entry lies beyond float range") from None
+    top = max(level)
+    return tuple(c if h == top else 0.0 for c, h in zip(x, level))
+
+
+def _shifted_block(m: ExactMatrix, members: Sequence[int],
+                   root: float) -> list[list[float]]:
+    """``root I - B`` in dense float rows, ``B`` the diagonal block of
+    ``m`` on ``members``."""
+    pos = {v: c for c, v in enumerate(members)}
+    out = []
+    for r, i in enumerate(members):
+        row = [0.0] * len(members)
+        row[r] = root
+        for j, a in m.rows[i]:
+            if j in pos:
+                row[pos[j]] -= a
+        out.append(row)
+    return out
+
+
 def normalized_limit(m: ExactMatrix, v0: Sequence[int],
                      tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER,
@@ -396,27 +452,24 @@ def normalized_limit(m: ExactMatrix, v0: Sequence[int],
     matrix in PB-Frobenius form.
 
     The limit lies in the cone spanned by the principal eigenvectors of the
-    root ``lam`` in the closure of ``v0``.  When the closure holds exactly
-    one principal block of root ``lam`` (``_heads``), the cone is a ray, and
-    the report carries that block's l1-normalized principal eigenvector with
-    ``iterations=0``, provided it passes the strict test of a ``d >= 1``
-    step below (so never at ``tol=0``).  Otherwise the run iterates.
+    root ``lam`` in the closure of ``v0``, and ``_block_pass`` over the
+    closure gives the point.  The report carries it, l1-normalized, with
+    ``iterations=0`` when its eigen-residual ``||M x - lam_hat x||_1``
+    (``lam_hat = ||M x||_1``) is strictly below ``tol`` and, when the
+    growth type ``lam**t * t**d`` (from block data) has ``d >= 1``, so is
+    the gap between ``lam_hat`` and ``lam``: a tie within ``EIG_TOL`` alone
+    (blocks ``[[h, h + 1], [h + 1, h]]`` and ``[[h, h], [h, h]]`` with
+    ``h = 5 * 10**9``) has no chain, and the pass then gives an eigenvector
+    of the other root.  Strictly, so never at ``tol=0``.
 
-    When the trajectory's growth type ``lam**t * t**d`` (from block data)
-    has ``d = 0``, the run stops once the snapshot's successive difference
-    and its eigen-residual ``||M x - lam_hat x||_1`` (``lam_hat = ||M x||_1``)
-    are within ``tol``.  When ``d >= 1`` the snapshot comes within only
-    ``1/t`` of its limit, so the run watches the read-out of ``_deflate``
-    and stops once its successive difference, its eigen-residual and the
-    gap between its eigen-estimate and ``lam`` are all strictly below
-    ``tol`` (strictly, because a read-out can be an exact float fixed point:
-    ``[[2, 0], [1, 2]]`` from ``(1, 0)`` gives ``(0, 1)`` at every step).
-
-    The residual is computed only at steps whose successive difference
-    passes its test, and is that of the reported vector.  When the budget
-    runs out, as it always does at ``tol=0`` with ``d >= 1``, the report
-    carries the final snapshot with ``converged=False`` and a diagnostic.
-    ``dec`` and ``eigenvalues``, when given, are ``scc_blocks(m)`` and
+    Otherwise, or when a block solve of the pass is singular, the run
+    iterates.  At ``d = 0`` it stops once the snapshot's successive
+    difference and its eigen-residual are within ``tol``; the residual is
+    computed only at steps whose difference passes.  At ``d >= 1`` the
+    snapshot comes within only ``1/t`` of its limit, and the run spends its
+    budget.  When the budget runs out, the report carries the final
+    snapshot with ``converged=False`` and a diagnostic.  ``dec`` and
+    ``eigenvalues``, when given, are ``scc_blocks(m)`` and
     ``block_eigenvalues(m, dec)``, and are not computed again.
     """
     check_budget(tol, max_iter)
@@ -437,58 +490,32 @@ def normalized_limit(m: ExactMatrix, v0: Sequence[int],
         eigenvalues = block_eigenvalues(m, dec)
     closure = _closure(dec, [i for i, c in enumerate(v0) if c])
     growth = _growth_of(dec, eigenvalues, closure)
-    heads = _heads(dec, eigenvalues, growth.lam, closure)
+    traj = _Trajectory(m, v0)
     try:
-        # one head: the cone of the limit theorem is a ray, no step to take
-        v = (principal_eigenvector(m, dec, eigenvalues, heads[0]).vector
-             if len(heads) == 1 else None)
-    except SubperronError:  # its solve or its residual test failed
+        v = _block_pass(m, dec, eigenvalues, closure, traj.x)
+    except SingularSystemError:
         v = None
+    settled = False
     if v is not None:
         norm = l1_norm(v)
         x = tuple(c / norm for c in v)
         lam_hat, residual = _measure(m, x)
-        if residual < tol and (growth.degree == 0
-                               or abs(lam_hat - growth.lam) < tol):
-            return ConvergenceReport(
-                limit=x, eigenvalue=lam_hat, iterations=0,
-                residual=residual, growth=growth, converged=True)
-    traj = _Trajectory(m, v0)
-    # the vector the stopping rule watches and a settled run reports
-    x = _deflate(m, growth, traj.x) if growth.degree else traj.x
-    for _ in range(max_iter):
+        settled = residual < tol and (growth.degree == 0
+                                      or abs(lam_hat - growth.lam) < tol)
+    while not settled and traj.t < max_iter:
         traj.step()
-        if growth.degree == 0:
+        if growth.degree == 0 and traj.diff <= tol:
             x = traj.x
-            if not traj.diff <= tol:
-                continue
             lam_hat, residual = _measure(m, x)
             settled = residual <= tol
-        else:
-            x_prev, x = x, _deflate(m, growth, traj.x)
-            if x is None or x_prev is None or not l1_dist(x, x_prev) < tol:
-                continue
-            lam_hat, residual = _measure(m, x)
-            # strict, so that a run at tol = 0 runs its whole budget; the
-            # eigen-estimate must match lam, since a tie within EIG_TOL alone
-            # (blocks [[h, h + 1], [h + 1, h]] and [[h, h], [h, h]] with
-            # h = 5 * 10**9) has no chain, and its read-out settles on an
-            # eigenvector of the other eigenvalue
-            settled = residual < tol and abs(lam_hat - growth.lam) < tol
-        if settled:
-            return ConvergenceReport(
-                limit=x, eigenvalue=lam_hat, iterations=traj.t,
-                residual=residual, growth=growth, converged=True,
-            )
-    lam_hat, residual = _measure(m, traj.x)
+    if not settled:
+        x = traj.x
+        lam_hat, residual = _measure(m, x)
     return ConvergenceReport(
-        limit=traj.x, eigenvalue=lam_hat, iterations=traj.t,
-        residual=residual, growth=growth, converged=False,
-        diagnostic=(
+        limit=x, eigenvalue=lam_hat, iterations=traj.t, residual=residual,
+        growth=growth, converged=settled, diagnostic=None if settled else (
             f"max_iter={max_iter} reached with residual {residual:.3e} "
-            f"> tol {tol:.3e}; returning the final iterate"
-        ),
-    )
+            f"> tol {tol:.3e}; returning the final iterate"))
 
 
 # ---------------------------------------------------------------------------
@@ -522,60 +549,23 @@ def principal_blocks(dec: BlockDecomposition,
             if classify_limit_case(dec, eigenvalues, i) == 1}
 
 
-def _heads(dec: BlockDecomposition, eigenvalues: Sequence[float],
-           lam: float, blocks: Iterable[int]) -> list[int]:
-    """The principal blocks among ``blocks`` whose root ties ``lam``, in
-    flow order: the heads whose eigenvectors span the limit cone of ``lam``.
-    The tie rule is that of ``_same_root``, exact when the block is 1x1 and
-    ``lam`` a whole number (a value a 1x1 root can take)."""
-    whole = float(lam).is_integer()
-    heads = principal_blocks(dec, eigenvalues).intersection(blocks)
-    return sorted(i for i in heads if _same_root(
-        eigenvalues[i], lam, whole and len(dec.members(i)) == 1))
-
-
 def principal_eigenvector(m: ExactMatrix, dec: BlockDecomposition,
                           eigenvalues: Sequence[float],
                           i: int) -> PrincipalEigenvector:
     """The unique (up to scale) non-negative eigenvector supported on a
-    principal block plus its dependency union.
-
-    The PF part has l1 mass 1 on the block; the dependency part solves
-    ``(lam I - M_C) x = u`` where ``u`` is the dependency component of
-    ``M`` applied to the extended PF-eigenvector.  The linear solve equals
-    the geometric series ``(1/lam) sum lam**-k M**k u``, which converges
-    because ``lam`` exceeds the spectral radius of the dependency block.
+    principal block plus its dependency union: ``_block_pass`` started on
+    the block, whose part there is the block's PF vector, of l1 mass 1.
+    The dependency part solves ``(lam I - M_C) x = u``, ``u`` the flow of
+    the PF part, block by block; each solve equals the geometric series
+    ``(1/lam) sum lam**-k M**k u``, which converges because ``lam`` exceeds
+    the root of every block the principal block feeds.
     """
     if i not in principal_blocks(dec, eigenvalues):
         raise NotPrincipalError(f"block {i} is not principal")
-    cls = dec.classes[i]
-    members = dec.members(i)
-    if cls is BlockClass.PRIMITIVE:
-        lam, local = pf_eigen_block(m, dec, i)
-    elif cls is BlockClass.ZERO_ONE and eigenvalues[i] == 1.0:
-        lam, local = 1.0, (1.0,)
-    elif cls is BlockClass.POWER_BOUNDED:
-        lam, local = 1.0, tuple(1.0 / len(members) for _ in members)
-    else:
-        raise NotPrincipalError(f"block {i} of class {cls.value} has no "
-                                "positive PF direction")
-    v = [0.0] * m.n
-    for idx, val in zip(members, local):
-        v[idx] = val
-    dep_indices = sorted(
-        idx for j in dec.dependency[i] for idx in dec.members(j)
-    )
-    if dep_indices:
-        y = float_matvec(m, v)
-        u = [y[idx] for idx in dep_indices]
-        dep = m.submatrix(dep_indices).entries
-        a = [
-            [(lam if r == c else 0.0) - float(x) for c, x in enumerate(row)]
-            for r, row in enumerate(dep)
-        ]
-        x = _linalg.solve(a, u)
-        for idx, val in zip(dep_indices, x):
-            v[idx] = val
+    lam = eigenvalues[i]
+    # the start on the blocks it feeds is outweighed by the flow of the PF
+    # vector, one pole order higher
+    v = _block_pass(m, dec, eigenvalues, {i, *dec.dependency[i]}, [1.0] * m.n)
     # relative to ||M v|| ~ lam ||v||: a huge root leaves a large absolute
     # rounding residual
     residual = l1_dist(float_matvec(m, v), [lam * c for c in v])
@@ -585,9 +575,9 @@ def principal_eigenvector(m: ExactMatrix, dec: BlockDecomposition,
             f"{EIGVEC_TOL:.1e} * lam * ||v||; upstream misclassification likely"
         )
     return PrincipalEigenvector(
-        block=i, eigenvalue=lam, vector=tuple(v),
-        pf_support=tuple(members), dependency_support=tuple(dep_indices),
-    )
+        block=i, eigenvalue=lam, vector=v, pf_support=dec.members(i),
+        dependency_support=tuple(sorted(
+            idx for j in dec.dependency[i] for idx in dec.members(j))))
 
 
 def eigencone_membership(m: ExactMatrix, dec: BlockDecomposition,
@@ -599,15 +589,21 @@ def eigencone_membership(m: ExactMatrix, dec: BlockDecomposition,
     The coefficients are read off the blocks.  Each principal eigenvector
     has l1 mass 1 on its own block, and no principal block feeds another of
     the same root, so the eigenvector of one such block vanishes on the
-    others.  For each block of ``_heads`` in flow order, the coefficient is
-    the mass of the remainder on the block, clamped at 0, and that multiple
-    of the block's eigenvector is taken off the remainder (which starts as
+    others.  For each principal block of root ``lam`` in flow order (the
+    tie rule of ``_same_root``, exact when the block is 1x1 and ``lam`` a
+    whole number, a value a 1x1 root can take), the coefficient is the
+    mass of the remainder on the block, clamped at 0, and that multiple of
+    the block's eigenvector is taken off the remainder (which starts as
     ``v``).  ``v`` is in the cone when the l1 norm of what is left is at
     most ``tol``."""
     if any(x < -tol for x in v) or l1_norm(v) == 0.0:
         raise ValueError("v must be non-negative and non-zero")
     rest = [float(x) for x in v]
-    for i in _heads(dec, eigenvalues, lam, range(dec.num_blocks)):
+    whole = float(lam).is_integer()
+    for i in sorted(principal_blocks(dec, eigenvalues)):
+        if not _same_root(eigenvalues[i], lam,
+                          whole and len(dec.members(i)) == 1):
+            continue
         c = max(0.0, lsum(rest[idx] for idx in dec.members(i)))
         pe = principal_eigenvector(m, dec, eigenvalues, i)
         rest = [x - c * y for x, y in zip(rest, pe.vector)]

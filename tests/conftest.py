@@ -3,7 +3,10 @@ matrix corpora, and cached deep convergence runs."""
 
 from __future__ import annotations
 
+import math
 import random
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
@@ -205,6 +208,179 @@ def max_entry(m: ExactMatrix) -> int:
 
 def is_entrywise_positive(m: ExactMatrix) -> bool:
     return all(len(row) == m.n for row in m.rows)
+
+
+# ---------------------------------------------------------------------------
+# a limit oracle that shares no code with the package, from fractions and
+# decimal alone: the exact integer iterate, each component's root from its
+# characteristic polynomial by Sturm bisection, and the read-out
+# (M - lam I)**d M**t v in Decimal
+
+def _charpoly(a) -> list[int]:
+    """The coefficients of ``det(zI - A)``, highest power first, by
+    Faddeev-LeVerrier over fractions."""
+    n = len(a)
+    coeffs = [Fraction(1)]
+    mk = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        mk = [[sum(a[i][h] * mk[h][j] for h in range(n))
+               + (coeffs[-1] if i == j else 0) for j in range(n)]
+              for i in range(n)]
+        trace = sum(a[i][h] * mk[h][i] for i in range(n) for h in range(n))
+        coeffs.append(-Fraction(trace, k))
+    assert all(c.denominator == 1 for c in coeffs)
+    return [int(c) for c in coeffs]
+
+
+def _poly_divmod(p: list, q: list) -> tuple[list, list]:
+    """Quotient and remainder of the polynomial ``p`` by ``q`` (highest
+    power first, ``q[0] != 0``); the remainder has no leading zero."""
+    rem, quot = [Fraction(c) for c in p], []
+    while len(rem) >= len(q):
+        f = rem[0] / q[0]
+        quot.append(f)
+        rem = [c - f * e for c, e in
+               zip(rem[1:], list(q[1:]) + [0] * (len(rem) - len(q)))]
+    while rem and rem[0] == 0:
+        rem = rem[1:]
+    return quot, rem
+
+
+def _derivative(p: list) -> list:
+    return [c * (len(p) - 1 - k) for k, c in enumerate(p[:-1])]
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """The Sturm chain of the square-free part ``q`` of ``p``: ``q``,
+    ``q'``, then the negated remainders, each scaled to integers by a
+    positive factor."""
+    g, h = p, _derivative(p)
+    while h:
+        g, h = h, _poly_divmod(g, h)[1]
+    chain = [_poly_divmod(p, g)[0]]
+    chain.append(_derivative(chain[0]))
+    while True:
+        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    out = []
+    for poly in chain:
+        den = math.lcm(*(Fraction(c).denominator for c in poly))
+        out.append([int(c * den) for c in poly])
+    return out
+
+
+def _sign_changes(chain: list[list[int]], x: Fraction) -> int:
+    """Sign changes along ``chain`` at ``x``, zeros skipped: their drop
+    from ``a`` to ``b`` counts the distinct roots in ``(a, b]``."""
+    signs = []
+    for poly in chain:
+        acc, scale = 0, 1  # poly(x) * denominator**degree, by Horner
+        for c in poly:
+            acc = acc * x.numerator + c * scale
+            scale *= x.denominator
+        if acc:
+            signs.append(acc > 0)
+    return sum(u != w for u, w in zip(signs, signs[1:]))
+
+
+_ROOTS: dict = {}
+
+
+def _spectral_radius(a: tuple) -> Fraction:
+    """The root of an irreducible non-negative integer matrix: its entry
+    when 1x1, else the largest real root of its characteristic polynomial,
+    by Sturm bisection of ``(0, 1 + max row sum]`` to a relative 1e-64."""
+    if len(a) == 1:
+        return Fraction(a[0][0])
+    if a not in _ROOTS:
+        chain = _sturm_chain(_charpoly(a))
+        lo, hi = Fraction(0), Fraction(1 + max(map(sum, a)))
+        above = _sign_changes(chain, hi)
+        while hi - lo > hi / 10**64:
+            mid = (lo + hi) / 2
+            if _sign_changes(chain, mid) > above:
+                lo = mid
+            else:
+                hi = mid
+        _ROOTS[a] = hi
+    return _ROOTS[a]
+
+
+def _readout(a, x: list[int], lam: Decimal, d: int) -> list[Decimal]:
+    """``normalize((A - lam I)**d x)`` in Decimal, from the top 320 bits of
+    the exact iterate ``x``."""
+    shift = max(0, max(x).bit_length() - 320)
+    z = [Decimal(c >> shift) for c in x]
+    for _ in range(d):
+        z = [sum(a[i][j] * z[j] for j in range(len(z))) - lam * z[i]
+             for i in range(len(z))]
+    total = sum(z)
+    return [c / total for c in z]
+
+
+_LIMITS: dict = {}
+
+
+def limit_reference(rows, v) -> tuple[float, ...]:
+    """The limit of ``M**t v / ||M**t v||_1``, independent of the package.
+
+    On the coordinates that ``v`` reaches, the components (mutually
+    reachable classes) give the top root ``lam`` and the length ``d + 1``
+    of the longest chain of components whose roots agree with it to 1e-50.
+    Then ``(M - lam I)**d M**t v`` has no polynomial part, and its
+    normalization comes within ``r**t`` of the limit, ``r`` the next
+    eigenvalue modulus over ``lam``.  ``t`` doubles from 16 until two
+    successive read-outs differ by less than 1e-20 (at most ``2**15``)."""
+    rows, v = tuple(map(tuple, rows)), tuple(v)
+    if (rows, v) in _LIMITS:
+        return _LIMITS[rows, v]
+    n = len(rows)
+    # reach[j][i]: a flow path leads from j to i (entry (i, j) > 0 an edge)
+    reach = [[i == j or rows[i][j] > 0 for i in range(n)] for j in range(n)]
+    for h in range(n):
+        for j in range(n):
+            if reach[j][h]:
+                reach[j] = [u or w for u, w in zip(reach[j], reach[h])]
+    live = [i for i in range(n) if any(v[j] and reach[j][i] for j in range(n))]
+    comps: list[list[int]] = []
+    for i in live:
+        if not any(i in c for c in comps):
+            comps.append([j for j in live if reach[i][j] and reach[j][i]])
+    roots = [_spectral_radius(tuple(tuple(rows[i][j] for j in c) for i in c))
+             for c in comps]
+    lam = max(roots)
+    tied = [c[0] for c, r in zip(comps, roots) if lam - r <= lam / 10**50]
+    chain: dict[int, int] = {}
+    for c in sorted(tied, key=lambda c: sum(reach[c])):  # downstream first
+        chain[c] = 1 + max((chain[h] for h in chain if reach[c][h]), default=0)
+    d = max(chain.values()) - 1
+    a = [[rows[i][j] for j in live] for i in live]
+    x0 = [v[i] for i in live]
+    with localcontext() as ctx:
+        ctx.prec = 90
+        lam_dec = Decimal(lam.numerator) / Decimal(lam.denominator)
+        power, t = a, 1
+        prev = None
+        while True:
+            power = [[sum(p * q for p, q in zip(row, col))
+                      for col in zip(*power)] for row in power]
+            t *= 2
+            if t < 16:
+                continue
+            x = [sum(p * q for p, q in zip(row, x0)) for row in power]
+            out = _readout(a, x, lam_dec, d)
+            if prev is not None and sum(
+                    abs(p - q) for p, q in zip(out, prev)) < Decimal("1e-20"):
+                break
+            assert t < 2**15, f"no limit by t = {t}: {rows}, {v}"
+            prev = out
+    limit = [0.0] * n
+    for i, c in zip(live, out):
+        limit[i] = float(c)
+    _LIMITS[rows, v] = tuple(limit)
+    return _LIMITS[rows, v]
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +607,9 @@ def random_corpus_200():
 
 # ---------------------------------------------------------------------------
 # cached runs for the growth-degree-1 starts of the 8x8 fixture (equal
-# eigenvalues along a chain: the raw iterate approaches its limit at rate
-# 1/t, the deflated read-out that normalized_limit watches geometrically,
-# settling within 1e-8 in under 100 steps; the budget of 23000 is what the
-# raw iterate needed)
+# eigenvalues along a chain: the raw iterate approaches its limit only at
+# rate 1/t, while the block pass takes no step; the budget of 23000 is what
+# the raw iterate needed)
 
 @pytest.fixture(scope="session")
 def deep_runs_m8(m8):

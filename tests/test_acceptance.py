@@ -4,9 +4,9 @@ Criterion 2 is implemented exactly as stated.  Four starting vectors of the
 8x8 fixture have an equal-eigenvalue chain (growth degree 1): their raw
 normalized iterates approach the limit only at rate 1/t, with an eigenvalue
 estimate biased by about lam/t.  ``normalized_limit`` reads those limits off
-the deflated iterate ``(M - lam I) x``, which converges geometrically, so
-the criterion is met within 100 iterations.  The companion test directly
-below it checks the same starts through the cached runs of ``deep_runs_m8``.
+one pass over the blocks, without a step, so the criterion is met.  The
+companion test directly below it checks the same starts through the cached
+runs of ``deep_runs_m8``.
 """
 
 import math

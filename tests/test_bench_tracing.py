@@ -19,10 +19,11 @@ def _load_tracing():
 
 
 def test_traced_command_keeps_stdout(capsys):
-    # the closure of t holds two heads of root 2, so the letter limit
-    # iterates
-    argv = ["freq", str(ROOT / "tests" / "golden" / "inputs" / "two_bottom.sub"),
-            "--letter", "t", "--max-len", "3"]
+    # tol 0 never settles, so the limit spends its budget of 50 steps and
+    # the command exits 0 with a warning
+    argv = ["analyze-matrix", str(ROOT / "tests" / "golden" / "inputs" / "m8.mat"),
+            "--json", "--vector", "1,0,0,0,0,0,0,0", "--tol", "0",
+            "--max-iter", "50"]
     assert main(argv) == 0
     untraced = capsys.readouterr().out
     tracer = _load_tracing().Tracer("subperron")
@@ -36,4 +37,4 @@ def test_traced_command_keeps_stdout(capsys):
     assert tracer.pass_metrics()["spectral.iterations"] > 0
     # the handler runs through the tracer's wrapper, although the parser
     # was built before the tracer was installed
-    assert "cli.cmd_freq" in {tracer.names[k] for k in tracer.span_name}
+    assert "cli.cmd_analyze_matrix" in {tracer.names[k] for k in tracer.span_name}

@@ -615,8 +615,7 @@ class TestArgumentRanges:
         "freq": ("freq", "fib.sub", "--letter", "a", "--max-len", "1"),
         "measure": ("measure", "fib.sub", "--letter", "a", "--word", "a"),
     }
-    # starts whose closure holds two principal blocks of the top root, so
-    # that they settle only by iterating
+    # starts whose closure holds two principal blocks of the top root
     TWO_HEADS = {
         "analyze-matrix": ("analyze-matrix", "two.txt", "--vector", "0,0,1"),
         "freq": ("freq", "two.sub", "--letter", "t", "--max-len", "1"),
@@ -650,21 +649,23 @@ class TestArgumentRanges:
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_zero_is_legal(self, capsys, workdir, command):
-        # tol 0 never settles, nor does a start with two heads without a
-        # step, so a budget of 3 or 0 steps is spent: a warning from
-        # analyze-matrix, exit 4 from the frequency commands
-        for starts, extra in ((self.COMMANDS, ("--tol", "0", "--max-iter", "3")),
-                              (self.TWO_HEADS, ("--max-iter", "0"))):
-            code, out, err = run(capsys, *self.argv(workdir, command, *extra,
-                                                    starts=starts))
+        # tol 0 never settles, so a budget of 3 or 0 steps is spent: a
+        # warning from analyze-matrix, exit 4 from the frequency commands
+        for starts, budget in ((self.COMMANDS, "3"), (self.TWO_HEADS, "0")):
+            code, out, err = run(capsys, *self.argv(
+                workdir, command, "--tol", "0", "--max-iter", budget,
+                starts=starts))
             if command == "analyze-matrix":
                 assert code == 0 and "converged=False" in out
                 assert "max_iter=" in err
             else:
                 assert code == 4 and "did not settle" in err
-        # a start with one head settles on its principal eigenvector
-        code, out, err = run(capsys, *self.argv(workdir, command,
-                                                "--max-iter", "0"))
-        assert code == 0 and err == ""
-        if command == "analyze-matrix":
-            assert "iterations=0 converged=True" in out
+        # a start with one head, or two, settles by the block pass, without
+        # a step
+        for starts in (self.COMMANDS, self.TWO_HEADS):
+            code, out, err = run(capsys, *self.argv(workdir, command,
+                                                    "--max-iter", "0",
+                                                    starts=starts))
+            assert code == 0 and err == ""
+            if command == "analyze-matrix":
+                assert "iterations=0 converged=True" in out

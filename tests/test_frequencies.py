@@ -185,8 +185,7 @@ class TestFrequencyTable:
         assert report.max_residual <= 1e-9
 
     def test_kirchhoff_on_slow_reducible(self, aab_bb):
-        # a reducible input whose limit is read off the deflated iterate
-        # (growth degree 1 at every level)
+        # a reducible input whose letter limit has growth degree 1
         tab = frequency_table(aab_bb, "a", max_len=3, tol=1e-6)
         report = kirchhoff_check(tab)
         assert report.max_residual <= 1e-9

@@ -11,10 +11,10 @@ run
     PYTHONPATH=src python tests/test_golden.py --check
 
 which prints the cases whose stdout differs and exits 1 when any does.  A
-case whose text differs only in its numbers is printed with the largest
-absolute change among them, so that a rewrite can be checked against the
-case's ``--tol``.  To
-rewrite the golden files of some commands with the ``subperron`` that is
+case is printed with the first pair of its tokens that differ beyond their
+numbers, old first, and with the largest absolute change among its numbers
+when both texts hold as many, so that a rewrite can be checked against the
+case's ``--tol``.  To rewrite the golden files of some commands with the ``subperron`` that is
 on the import path (for instance that of another checkout), run
 
     PYTHONPATH=src python tests/test_golden.py freq measure
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import os
 import re
 import sys
@@ -100,25 +101,38 @@ def _expected(case: str) -> str:
 
 
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+#: a quoted string, or a run of other non-blank characters
+TOKEN = re.compile(r'"[^"\n]*"|[^\s"]+')
 
 
 def largest_change(got: str, want: str) -> float | None:
     """The largest absolute change between the numbers of ``got`` and
-    ``want``, in order; None when the texts differ outside their numbers."""
-    if NUMBER.split(got) != NUMBER.split(want):
+    ``want``, in order; None when they hold different counts of numbers."""
+    x, y = NUMBER.findall(got), NUMBER.findall(want)
+    if len(x) != len(y):
         return None
-    return max((abs(float(x) - float(y)) for x, y in
-                zip(NUMBER.findall(got), NUMBER.findall(want))), default=0.0)
+    return max((abs(float(a) - float(b)) for a, b in zip(x, y)), default=0.0)
+
+
+def first_difference(got: str, want: str) -> tuple[str, str] | None:
+    """The first pair of tokens of ``want`` and ``got``, in that order,
+    that differ beyond their numbers; None when there is none."""
+    return next(((a, b) for a, b in itertools.zip_longest(
+        TOKEN.findall(want), TOKEN.findall(got), fillvalue="")
+        if NUMBER.sub("0", a) != NUMBER.sub("0", b)), None)
 
 
 def _difference(case: str) -> str | None:
     """None when ``case`` matches its golden file, else its line of
-    ``--check``: the case, and the largest change when only numbers move."""
+    ``--check``: the case, its first changed tokens and its largest
+    numeric change, of those that apply."""
     got, want = _run(CASES[case]), _expected(case)
     if got == want:
         return None
-    change = largest_change(got, want)
-    return case if change is None else f"{case}: largest change {change:.3g}"
+    tokens, change = first_difference(got, want), largest_change(got, want)
+    notes = ([f"{tokens[0]} -> {tokens[1]}"] if tokens else []) + (
+        [f"largest change {change:.3g}"] if change is not None else [])
+    return f"{case}: {'; '.join(notes)}" if notes else case
 
 
 def pytest_generate_tests(metafunc):
@@ -137,8 +151,20 @@ def test_largest_change():
     assert abs(largest_change(got, want) - 3.733e-9) < 1e-15
     assert largest_change(want, want) == 0.0
     assert largest_change("1e-3 -2", "0.001 -2.0") == 0.0
-    assert largest_change(got.replace("t", "u"), want) is None
+    assert first_difference(got, want) is None
+    renamed = got.replace('"t"', '"u"')
+    assert first_difference(renamed, want) == ('"t"', '"u"')
+    assert abs(largest_change(renamed, want) - 3.733e-9) < 1e-15
     assert largest_change(got + "1\n", want) is None
+    assert first_difference(got + "1\n", want) == ("", "1")
+    # a route label renamed beside a moved limit: the numbers still pair up
+    want = '"limit": [7.9e-13, 0.375], "route": "iterated"'
+    got = '"limit": [0.0, 0.375], "route": "block pass"'
+    assert first_difference(got, want) == ('"iterated"', '"block pass"')
+    assert abs(largest_change(got, want) - 7.9e-13) < 1e-24
+    got = '"limit": [0.375], "route": "block pass"'
+    assert first_difference(got, want) == ("[7.9e-13,", "[0.375],")
+    assert largest_change(got, want) is None
 
 
 if __name__ == "__main__":

@@ -25,15 +25,16 @@ from subperron import (
     principal_eigenvector,
     scc_blocks,
 )
+from subperron.errors import SingularSystemError
 from subperron.spectral import (
-    _deflate,
     _Trajectory,
     float_matvec,
     l1_dist,
     trajectory_growth,
 )
 
-from conftest import mat_pow_apply, random_pb_frobenius_expanding
+from conftest import (limit_reference, mat_pow_apply,
+                      random_pb_frobenius_expanding)
 
 PHI = (1 + math.sqrt(5)) / 2
 LAM_A = 2 + math.sqrt(2)
@@ -46,12 +47,29 @@ TWO_HEADS = ExactMatrix([[10, 0, 1], [0, 10, 1], [0, 0, 9]])
 TWO_FIBONACCI = ExactMatrix([[1, 1, 0, 0, 1], [1, 0, 0, 0, 0],
                              [0, 0, 1, 1, 1], [0, 0, 1, 0, 0],
                              [0, 0, 0, 0, 1]])
+#: two 2x2 blocks of root 2 whose left and right PF vectors differ, each
+#: fed at its first coordinate by a root-1 start (e_5)
+TWO_SKEWED = ExactMatrix([[1, 2, 0, 0, 1], [1, 0, 0, 0, 0],
+                          [0, 0, 0, 1, 1], [0, 0, 2, 1, 0],
+                          [0, 0, 0, 0, 1]])
 
 
 def e(n, i):
     v = [0] * n
     v[i] = 1
     return tuple(v)
+
+
+def force_iteration(monkeypatch):
+    """The fallback of ``normalized_limit``: every block pass raises the
+    ``SingularSystemError`` of a singular block solve, so each run
+    iterates."""
+    import subperron.spectral as spectral
+
+    def singular(*args):
+        raise SingularSystemError("pivot 0.0 below tolerance")
+
+    monkeypatch.setattr(spectral, "_block_pass", singular)
 
 
 def analysis(rows):
@@ -241,15 +259,17 @@ class TestNormalizedLimit:
         assert not rep.converged
         assert rep.eigenvalue - 2.0 == pytest.approx(2.0 / 4000, rel=0.1)
 
-    def test_budget_exhaustion_returns_final_iterate(self):
-        # two heads of root 10 fed at ratio 9/10, so the start picks their
-        # weights and the run iterates: settling within 1e-12 takes 263 steps
+    def test_budget_exhaustion_returns_final_iterate(self, monkeypatch):
+        # two heads of root 10 fed at ratio 9/10: iterating, the run settles
+        # within 1e-12 only after 263 steps
+        force_iteration(monkeypatch)
         rep = normalized_limit(TWO_HEADS, e(3, 2), tol=1e-12, max_iter=100)
         assert not rep.converged
         assert rep.iterations == 100
         assert rep.diagnostic is not None
 
-    def test_budget_stop_reports_final_step_values(self, m8, aab_bb):
+    def test_budget_stop_reports_final_step_values(self, m8, aab_bb,
+                                                   monkeypatch):
         # the residual and eigen-estimate are computed lazily; a run that
         # stops on budget must still report them for its final iterate
         def measured(m, x):
@@ -258,10 +278,12 @@ class TestNormalizedLimit:
             return lam, l1_dist(y, [lam * c for c in x])
 
         # tol 0 never asks for the residual before the end; from the two
-        # heads' e_3 at tol 1e-3 the successive difference is within tol
-        # from t = 45 on, so the residual is computed at earlier steps too,
-        # and stays above tol until t = 66
+        # heads' e_3 at tol 1e-3, iterating, the successive difference is
+        # within tol from t = 45 on, so the residual is computed at earlier
+        # steps too, and stays above tol until t = 66
         for m, v0, tol in ((m8, e(8, 0), 0), (TWO_HEADS, e(3, 2), 1e-3)):
+            if tol:
+                force_iteration(monkeypatch)
             rep = normalized_limit(m, v0, tol=tol, max_iter=50)
             assert not rep.converged and rep.iterations == 50
             assert (rep.eigenvalue, rep.residual) == measured(m, rep.limit)
@@ -275,9 +297,10 @@ class TestNormalizedLimit:
         assert table.growth_rate == measured(m1, x1)[0]
 
     def test_residual_only_at_steps_within_tol(self, monkeypatch):
-        # the residual's float matvec runs once at each step whose successive
+        # the residual's float matvec runs once after the block pass, and,
+        # when the run iterates, once at each step whose successive
         # difference is within tol (TWO_HEADS from e_3 at 1e-10: 22 of 219
-        # steps), never else; starts with two heads iterate
+        # steps), never else
         import subperron.spectral as spectral
 
         calls = []
@@ -288,17 +311,25 @@ class TestNormalizedLimit:
             return matvec(m, x)
 
         monkeypatch.setattr(spectral, "float_matvec", counting)
-        for m, v0 in ((TWO_HEADS, e(3, 2)), (TWO_FIBONACCI, e(5, 4))):
-            for tol in (1e-10, 1e-6):
-                calls.clear()
-                rep = normalized_limit(m, v0, tol=tol)
-                assert rep.converged and rep.growth.degree == 0
-                traj = _Trajectory(m, v0)
-                within = 0
-                for _ in range(rep.iterations):
-                    traj.step()
-                    within += traj.diff <= tol
-                assert len(calls) == within
+        cases = [(m, v0, tol) for m, v0 in ((TWO_HEADS, e(3, 2)),
+                                            (TWO_FIBONACCI, e(5, 4)))
+                 for tol in (1e-10, 1e-6)]
+        for m, v0, tol in cases:
+            calls.clear()
+            rep = normalized_limit(m, v0, tol=tol)
+            assert rep.converged and rep.iterations == 0
+            assert len(calls) == 1
+        force_iteration(monkeypatch)
+        for m, v0, tol in cases:
+            calls.clear()
+            rep = normalized_limit(m, v0, tol=tol)
+            assert rep.converged and rep.growth.degree == 0
+            traj = _Trajectory(m, v0)
+            within = 0
+            for _ in range(rep.iterations):
+                traj.step()
+                within += traj.diff <= tol
+            assert len(calls) == within
 
     def test_rejects_imprimitive(self, antidiag4):
         with pytest.raises(NotPBFrobeniusError):
@@ -329,49 +360,24 @@ class TestNormalizedLimit:
         assert l1_dist(traj.x, expected) < 1e-12
 
 
-def _stepped_limit(m, v0, growth, tol):
-    """The limit of ``v0`` by stepping ``_Trajectory``, read through
-    ``_deflate`` when ``d >= 1``: the first read-out whose successive
-    difference ``delta`` is below ``tol / 10``, and whose geometric tail
-    ``delta r / (1 - r)`` is too, ``r`` the largest of the last three ratios
-    of successive differences.  A start whose subdominant ratio is near 1
-    (about 0.99 on matrix 84 of the seed-7 generator) is still up to 17
-    ``tol`` from its limit at the first difference below ``tol / 10``."""
-    traj = _Trajectory(m, v0)
-    x = _deflate(m, growth, traj.x) if growth.degree else traj.x
-    diffs = []
-    while traj.t < 20000:
-        traj.step()
-        prev, x = x, _deflate(m, growth, traj.x) if growth.degree else traj.x
-        if x is None or prev is None:
-            continue
-        diffs = (diffs + [l1_dist(x, prev)])[-4:]
-        if not any(diffs) and len(diffs) == 4:
-            return x
-        if diffs[-1] < tol / 10 and len(diffs) == 4 and all(diffs[:-1]):
-            r = max(b / a for a, b in zip(diffs, diffs[1:]))
-            if r < 1 and diffs[-1] * r / (1 - r) < tol / 10:
-                return x
-    raise AssertionError(f"no stepped limit within {traj.t} steps")
-
-
-class TestPrincipalRoute:
-    """A start whose closure holds one principal block of its top root (one
-    head) takes that block's principal eigenvector without a step; a start
-    with two or more heads iterates."""
+class TestBlockPass:
+    """Every start takes the block pass without a step, with one head or
+    several, at growth degree 0 or above, and lies within ``tol`` of
+    ``limit_reference``, which shares no code with the package."""
 
     @pytest.fixture(scope="class")
     def matrices(self, m8):
         # the first 120 matrices of the seed-7 generator hold 6 unit starts
-        # with two 1x1 heads (matrices 103 and 114); TWO_FIBONACCI's e_5 has
-        # two 2x2 heads
+        # with two 1x1 heads (matrices 103 and 114); the e_5 of TWO_FIBONACCI
+        # and of TWO_SKEWED have two 2x2 heads, those of TWO_SKEWED weighed
+        # by their left PF vectors
         rng = random.Random(7)
-        return [m8, TWO_HEADS, TWO_FIBONACCI] + [
+        return [m8, TWO_HEADS, TWO_FIBONACCI, TWO_SKEWED] + [
             random_pb_frobenius_expanding(rng) for _ in range(120)]
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10])
-    def test_one_head_takes_the_principal_eigenvector(self, matrices, tol):
-        counts = {"one": 0, "two": 0, "degree": 0}
+    def test_every_start_takes_the_block_pass(self, matrices, tol):
+        counts = {"starts": 0, "two heads": 0, "degree": 0}
         for m in matrices:
             dec = scc_blocks(m)
             eig = block_eigenvalues(m, dec)
@@ -383,16 +389,13 @@ class TestPrincipalRoute:
                 lam = rep.growth.lam
                 heads = [c for c in principal & {b, *dec.dependency[b]}
                          if abs(eig[c] - lam) <= 1e-9 * lam]
-                if len(heads) >= 2:
-                    counts["two"] += 1
-                    assert rep.iterations > 0, (m.rows, i)
-                    continue
-                counts["one"] += 1
+                counts["starts"] += 1
+                counts["two heads"] += len(heads) >= 2
                 counts["degree"] += rep.growth.degree > 0
                 assert rep.converged and rep.iterations == 0, (m.rows, i)
-                stepped = _stepped_limit(m, e(m.n, i), rep.growth, tol)
-                assert l1_dist(rep.limit, stepped) <= tol, (m.rows, i)
-        assert counts == {"one": 490, "two": 8, "degree": 21}
+                reference = limit_reference(m.entries, e(m.n, i))
+                assert l1_dist(rep.limit, reference) <= tol, (m.rows, i)
+        assert counts == {"starts": 503, "two heads": 9, "degree": 22}
 
 
 class TestGrowthNormalizationBound:
