@@ -56,7 +56,8 @@ def _vec12(v: Sequence[float]) -> list[float]:
     return [round12(float(x)) for x in v]
 
 
-def _convergence_dict(report: ConvergenceReport, start: Sequence[int]) -> dict:
+def _convergence_dict(report: ConvergenceReport, start: Sequence[int],
+                      tol: float) -> dict:
     return {
         "start": [int(c) for c in start],
         "limit": _vec12(report.limit),
@@ -66,9 +67,8 @@ def _convergence_dict(report: ConvergenceReport, start: Sequence[int]) -> dict:
         "growth": {"lambda": round12(report.growth.lam),
                    "degree": report.growth.degree},
         "converged": report.converged,
-        # only the block pass settles without a step
-        "route": "block pass"
-        if report.converged and not report.iterations else "iterated",
+        # at tol > 0 the pass is the route, converged or refused
+        "route": "block pass" if tol else "iterated",
     }
 
 
@@ -168,7 +168,7 @@ def cmd_analyze_matrix(args) -> int:
             raise ParseError(f"invalid --vector: {exc}") from exc
         conv = normalized_limit(m, v0, tol=args.tol, max_iter=args.max_iter,
                                 dec=dec0)
-        report["limit"] = _convergence_dict(conv, v0)
+        report["limit"] = _convergence_dict(conv, v0, args.tol)
         if not conv.converged:
             print(f"warning: {conv.diagnostic}", file=sys.stderr)
     if args.json:

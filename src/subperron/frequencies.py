@@ -20,11 +20,7 @@ whose images all have length >= 2, ``m`` its shortest image length and
   ``z(v_1)``, all of which lie inside ``z(v)``.  The sum of ``N_n f_l``
   stands in for ``lam``, so that every level sums to 1.
 
-No blow-up is built or iterated.  An error in ``f_1`` lives on the letters
-of ``zs**t(a)``; with ``L`` the longest of their images under ``z``, it
-grows by at most ``(L - 1) / (lam - 1)`` into level 2 and by ``L / lam``
-per level above it, so the letter limit runs at ``tol / C``, ``C`` that
-product over the levels used (at least 1).
+No blow-up is built or iterated.
 
 The keys of level n are ``words._Language(zs).factors(n)``: every length-n
 window of ``z(v)`` over the keys ``v`` of level ``l``, and the seeds,
@@ -54,11 +50,9 @@ from .spectral import (
     DEFAULT_TOL,
     ConvergenceReport,
     _power_pairs,
-    block_eigenvalues,
     check_budget,
     float_matvec,
     normalized_limit,
-    trajectory_growth,
 )
 from .words import Substitution, Word, _code, _indices, _Language, _stabilizing
 
@@ -111,14 +105,13 @@ def _settled_limit(s: Substitution, a: int, n: int,
 
 
 class _InducedLimits:
-    """The limits ``f_n`` based at letter ``a`` for every length up to
-    ``top`` (see the module docstring).  ``report`` is the letter limit's,
-    on ``m1``, the incidence matrix of ``zs``; ``stable`` is
-    ``words._stabilizing(s)``."""
+    """The limits ``f_n`` based at letter ``a`` (see the module docstring).
+    ``report`` is the letter limit's, on ``m1``, the incidence matrix of
+    ``zs``; ``stable`` is ``words._stabilizing(s)``."""
 
     def __init__(self, s: Substitution,
                  stable: tuple[int, ExactMatrix, BlockDecomposition], a: int,
-                 top: int, tol: float, max_iter: int):
+                 tol: float, max_iter: int):
         check_budget(tol, max_iter)
         power, m, dec0 = stable
         zs, m1, dec = s, m, dec0
@@ -128,29 +121,12 @@ class _InducedLimits:
             dec = scc_blocks(m1)
             _power_pairs(m, dec0, power, m1, dec)
         self.language, self.m1 = _Language(zs), m1
-        z = self.language.z
-        amplification = 1.0
-        eigenvalues = None
-        if top >= 2:
-            # the error of f_1 lives on the letters that zs**t(a) holds
-            eigenvalues = block_eigenvalues(self.m1, dec)
-            own = dec.block_of(a)
-            longest = max(len(z[c]) for b in {own, *dec.dependency[own]}
-                          for c in dec.members(b))
-            growth = trajectory_growth(dec, eigenvalues, [a])
-            lam = growth.lam ** self.language.p
-            amplification = (longest - 1) / (lam - 1)
-            n = top
-            while n > 2:
-                amplification *= longest / lam
-                n = self.language.source(n)
-        v0 = [0] * self.m1.n
+        v0 = [0] * m1.n
         v0[a] = 1
-        self.report = normalized_limit(
-            self.m1, v0, tol=tol / max(1.0, amplification), max_iter=max_iter,
-            dec=dec, eigenvalues=eigenvalues)
+        self.report = normalized_limit(m1, v0, tol=tol, max_iter=max_iter,
+                                       dec=dec)
         f1 = self.report.limit
-        self.lam = lsum(x * len(w) for x, w in zip(f1, z))
+        self.lam = lsum(x * len(w) for x, w in zip(f1, self.language.z))
         self.levels = {1: dict(zip(self.language.factors(1), f1))}
 
     def level(self, n: int) -> dict[str, float]:
@@ -193,7 +169,7 @@ def letter_frequencies(s: Substitution, a, tol: float = DEFAULT_TOL,
     """Limit frequencies of the letters inside ``zeta**t(a)``: ``(vector,
     report)``, the vector indexed by the alphabet, with sum one."""
     a = _letter_index(s, a)
-    report = _InducedLimits(s, _stabilizing(s), a, 1, tol, max_iter).report
+    report = _InducedLimits(s, _stabilizing(s), a, tol, max_iter).report
     return _settled_limit(s, a, 1, report), report
 
 
@@ -213,7 +189,7 @@ def factor_frequencies(s: Substitution, a, n: int,
     if n < 2:
         raise ValueError("use letter_frequencies for length 1")
     a = _letter_index(s, a)
-    limits = _InducedLimits(s, _stabilizing(s), a, n, tol, max_iter)
+    limits = _InducedLimits(s, _stabilizing(s), a, tol, max_iter)
     _settled_limit(s, a, n, limits.report)
     return {_indices(w): x for w, x in limits.level(n).items()}
 
@@ -230,7 +206,7 @@ def frequency_table(s: Substitution, a, max_len: int,
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     a = _letter_index(s, a)
-    limits = _InducedLimits(s, stable, a, max_len, tol, max_iter)
+    limits = _InducedLimits(s, stable, a, tol, max_iter)
     # the factors of each shorter length are keys of their own, not read
     # off the top level: a factor need not lie inside any longer one
     entries: dict[str, float] = {}
@@ -303,6 +279,6 @@ def measure_cylinder(s: Substitution, a, word,
         if not 0 <= i < len(s.alphabet):
             raise ParseError(f"letter index {i} out of range")
     n = len(word)
-    limits = _InducedLimits(s, stable, a, n, tol, max_iter)
+    limits = _InducedLimits(s, stable, a, tol, max_iter)
     _settled_limit(s, a, n, limits.report)
     return limits.level(n).get(_code(word), 0.0)

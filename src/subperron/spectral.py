@@ -4,9 +4,9 @@ principal-eigenvector theory for matrices in PB-Frobenius form.
 A limit and a principal eigenvector are both read off one pass over the
 blocks (``_block_pass``): the leading Laurent coefficient of the resolvent
 ``(zI - M)**-1 v0`` at the top root ``lam``.  Growth types are the
-functions ``lambda**t * t**d`` governing trajectory size.  When the pass
-fails its test, the convergence engine iterates with exact integers and
-takes an l1-normalized float snapshot each step.
+functions ``lambda**t * t**d`` governing trajectory size.  At ``tol > 0`` a
+limit whose pass fails its test is refused, with no step; only a run at
+``tol = 0`` iterates, with exact integers.
 """
 
 from __future__ import annotations
@@ -167,25 +167,25 @@ def _measure(m: ExactMatrix, x: FloatVector) -> tuple[float, float]:
 
 
 class _Trajectory:
-    """Exact power iteration ``w <- M w``.  Each step takes the float
-    snapshot ``x`` and its l1 distance ``diff`` from the previous one."""
+    """Exact power iteration ``w <- M w``, the route of a run at ``tol=0``;
+    ``x`` is the l1-normalized float snapshot of ``w``."""
 
-    __slots__ = ("m", "w", "t", "x", "diff")
+    __slots__ = ("m", "w", "t")
 
     def __init__(self, m: ExactMatrix, v0: Sequence[int]):
         self.m = m
         self.w = tuple(int(c) for c in v0)
         self.t = 0
-        self.x = _snapshot(self.w)
 
     def step(self) -> None:
         self.w = self.m.apply(self.w)
         self.t += 1
         if self.t % 64 == 0:
             self.w = _rescale(self.w)
-        x_new = _snapshot(self.w)
-        self.diff = l1_dist(x_new, self.x)
-        self.x = x_new
+
+    @property
+    def x(self) -> FloatVector:
+        return _snapshot(self.w)
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +201,15 @@ def pf_eigen_block(m: ExactMatrix, dec: BlockDecomposition,
     Collatz-Wielandt bracket ``[min_i (Av)_i/v_i, max_i (Av)_i/v_i]``
     certifies the eigenvalue once its width drops below the absolute
     ``PF_BRACKET_WIDTH``, which rounding can keep it from above a root of
-    about 1e4 (``MaxIterError`` after 500,000 steps).  The pair is stored
-    on ``dec``, and later calls for the same block and matrix read it back.
-    On a power ``M**t``, ``_power_pairs`` stores beforehand the pairs of
-    the blocks that are primitive blocks of ``M``, which are thus
-    certified on ``M`` and never on the power.
+    about 1e4 (``MaxIterError`` after 500,000 steps).  One Wielandt
+    inverse-iteration solve ``(sigma I - A) y = x`` with
+    ``sigma = hi + max(hi - lo, 1e-9 hi)`` then takes the vector to float
+    precision.  The root is ``||A y||_1``, the ``y``-weighted mean of the
+    ratios of ``y``'s bracket, where its midpoint would carry a tiny
+    coordinate's rounding.  The pair is stored on ``dec``, and later calls
+    for the same block and matrix read it back.  On a power ``M**t``, ``_power_pairs`` stores beforehand
+    the pairs of the blocks that are primitive blocks of ``M``, which are
+    thus certified on ``M`` and never on the power.
     """
     stored = dec.pf_pairs.get(i)
     if stored is None or stored[0] is not m:
@@ -219,9 +223,9 @@ def _power_pairs(m: ExactMatrix, dec0: BlockDecomposition, t: int,
     each primitive block of ``mt`` with at least two members that is a
     primitive block of ``dec0 = scc_blocks(m)``: the block of ``M**t`` over
     a primitive block ``A`` of ``M`` is ``A**t``, whose root is
-    ``lam(A)**t`` and whose PF vector is ``A``'s.  The root is bracketed by
-    ``[lo**t, hi**t]`` of ``A``'s certificate, a relative width of about
-    ``t * PF_BRACKET_WIDTH / lam``.  Both decompositions list a block's
+    ``lam(A)**t`` and whose PF vector is ``A``'s.  The root's relative
+    error is about ``t`` times that of ``A``'s, which is at float
+    precision.  Both decompositions list a block's
     members in increasing order, so the vector needs no reordering.
     Raises ``FloatRangeError`` naming block ``i`` when the root lies beyond
     float range; a ``MaxIterError`` names the block of ``M`` (``dec0``)."""
@@ -268,10 +272,18 @@ def _certify_pf(m: ExactMatrix, dec: BlockDecomposition,
         s = lsum(y)
         x = [v / s for v in y]
         if hi - lo <= PF_BRACKET_WIDTH:
-            return (lo + hi) / 2.0, tuple(x)
-    raise MaxIterError(
-        f"PF power iteration did not certify the root of block B{i + 1}: "
-        f"bracket width {hi - lo:.1e} > {PF_BRACKET_WIDTH:g} after 500000 steps")
+            break
+    else:
+        raise MaxIterError(
+            f"PF power iteration did not certify the root of block B{i + 1}: "
+            f"bracket width {hi - lo:.1e} > {PF_BRACKET_WIDTH:g} after 500000 steps")
+    # one Wielandt inverse-iteration solve: sigma exceeds the root, so
+    # (sigma I - A)**-1 is positive and keeps y positive
+    y = _linalg.solve(
+        _shifted_block(m, members, hi + max(hi - lo, 1e-9 * hi)), x)
+    s = lsum(y)
+    y = [v / s for v in y]
+    return lsum(_row_sums(sub, y)), tuple(y)
 
 
 def block_eigenvalues(m: ExactMatrix, dec: BlockDecomposition) -> tuple[float, ...]:
@@ -453,24 +465,20 @@ def normalized_limit(m: ExactMatrix, v0: Sequence[int],
 
     The limit lies in the cone spanned by the principal eigenvectors of the
     root ``lam`` in the closure of ``v0``, and ``_block_pass`` over the
-    closure gives the point.  The report carries it, l1-normalized, with
-    ``iterations=0`` when its eigen-residual ``||M x - lam_hat x||_1``
-    (``lam_hat = ||M x||_1``) is strictly below ``tol`` and, when the
-    growth type ``lam**t * t**d`` (from block data) has ``d >= 1``, so is
-    the gap between ``lam_hat`` and ``lam``: a tie within ``EIG_TOL`` alone
-    (blocks ``[[h, h + 1], [h + 1, h]]`` and ``[[h, h], [h, h]]`` with
-    ``h = 5 * 10**9``) has no chain, and the pass then gives an eigenvector
-    of the other root.  Strictly, so never at ``tol=0``.
-
-    Otherwise, or when a block solve of the pass is singular, the run
-    iterates.  At ``d = 0`` it stops once the snapshot's successive
-    difference and its eigen-residual are within ``tol``; the residual is
-    computed only at steps whose difference passes.  At ``d >= 1`` the
-    snapshot comes within only ``1/t`` of its limit, and the run spends its
-    budget.  When the budget runs out, the report carries the final
-    snapshot with ``converged=False`` and a diagnostic.  ``dec`` and
-    ``eigenvalues``, when given, are ``scc_blocks(m)`` and
-    ``block_eigenvalues(m, dec)``, and are not computed again.
+    closure gives the point.  At ``tol > 0`` the report carries it,
+    l1-normalized, with ``iterations=0``, and is converged when its
+    eigen-residual ``||M x - lam_hat x||_1`` (``lam_hat = ||M x||_1``) is
+    below ``tol`` and, when the growth type ``lam**t * t**d`` (from block
+    data) has ``d >= 1``, so is the root gap ``|lam_hat - lam|``: a tie
+    within ``EIG_TOL`` alone (blocks ``[[h, h + 1], [h + 1, h]]`` and
+    ``[[h, h], [h, h]]`` with ``h = 5 * 10**9``) has no chain, and the pass
+    then gives an eigenvector of the other root.  Otherwise, or when a block
+    solve of the pass is singular (the report then carries the normalized
+    ``v0``), the run is refused at once, with a diagnostic naming the test.
+    At ``tol=0`` the run takes exactly ``max_iter`` exact steps and reports
+    that iterate, not converged.  ``dec`` and ``eigenvalues``, when given,
+    are ``scc_blocks(m)`` and ``block_eigenvalues(m, dec)``, and are not
+    computed again.
     """
     check_budget(tol, max_iter)
     if dec is None:
@@ -490,32 +498,32 @@ def normalized_limit(m: ExactMatrix, v0: Sequence[int],
         eigenvalues = block_eigenvalues(m, dec)
     closure = _closure(dec, [i for i, c in enumerate(v0) if c])
     growth = _growth_of(dec, eigenvalues, closure)
-    traj = _Trajectory(m, v0)
-    try:
-        v = _block_pass(m, dec, eigenvalues, closure, traj.x)
-    except SingularSystemError:
-        v = None
-    settled = False
-    if v is not None:
-        norm = l1_norm(v)
-        x = tuple(c / norm for c in v)
-        lam_hat, residual = _measure(m, x)
-        settled = residual < tol and (growth.degree == 0
-                                      or abs(lam_hat - growth.lam) < tol)
-    while not settled and traj.t < max_iter:
-        traj.step()
-        if growth.degree == 0 and traj.diff <= tol:
-            x = traj.x
-            lam_hat, residual = _measure(m, x)
-            settled = residual <= tol
-    if not settled:
-        x = traj.x
-        lam_hat, residual = _measure(m, x)
+    if not tol:
+        traj = _Trajectory(m, v0)
+        for _ in range(max_iter):
+            traj.step()
+        x, refused = traj.x, (f"max_iter={max_iter} reached at tol 0; "
+                              "returning the final iterate")
+    else:
+        x = _snapshot(v0)
+        try:
+            v = _block_pass(m, dec, eigenvalues, closure, x)
+        except SingularSystemError as exc:
+            refused = f"block pass refused: a block solve is singular ({exc})"
+        else:
+            norm = l1_norm(v)
+            x, refused = tuple(c / norm for c in v), None
+    lam_hat, residual = _measure(m, x)
+    gap = abs(lam_hat - growth.lam)
+    if refused is None and residual >= tol:
+        refused = f"block pass refused: residual {residual:.3e} >= tol {tol:.3e}"
+    if refused is None and growth.degree and gap >= tol:
+        refused = (f"block pass refused: root gap |lam_hat - lam| {gap:.3e} "
+                   f">= tol {tol:.3e}")
     return ConvergenceReport(
-        limit=x, eigenvalue=lam_hat, iterations=traj.t, residual=residual,
-        growth=growth, converged=settled, diagnostic=None if settled else (
-            f"max_iter={max_iter} reached with residual {residual:.3e} "
-            f"> tol {tol:.3e}; returning the final iterate"))
+        limit=x, eigenvalue=lam_hat, iterations=0 if tol else max_iter,
+        residual=residual, growth=growth, converged=refused is None,
+        diagnostic=refused)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,29 @@ class TestAnalyzeMatrix:
         assert report["principal_blocks"] == [1, 2]
         assert report["limit"]["growth"]["degree"] == 0
 
+    def test_refused_pass_is_reported_at_once(self, capsys, tmp_path):
+        # 2x2 blocks of roots 10**10 + 1 and 10**10 tie within EIG_TOL: the
+        # pass from e_1 gives an eigenvector of the other root, and is
+        # refused for its root gap without a step
+        h = 5 * 10**9
+        path = tmp_path / "near_tie.txt"
+        path.write_text(f"{h} {h + 1} 0 0\n{h + 1} {h} 0 0\n"
+                        f"1 0 {h} {h}\n0 0 {h} {h}\n")
+        code, out, err = run(capsys, "analyze-matrix", path, "--json",
+                             "--vector", "1,0,0,0")
+        assert code == 0
+        limit = json.loads(out)["limit"]
+        assert (limit["route"], limit["converged"], limit["iterations"]) == (
+            "block pass", False, 0)
+        assert err == ("warning: block pass refused: root gap |lam_hat - lam| "
+                       "1.000e+00 >= tol 1.000e-10\n")
+        # only a run at tol 0 steps
+        code, out, _ = run(capsys, "analyze-matrix", path, "--json",
+                           "--vector", "1,0,0,0", "--tol", "0",
+                           "--max-iter", "3")
+        limit = json.loads(out)["limit"]
+        assert (code, limit["route"], limit["iterations"]) == (0, "iterated", 3)
+
     def test_root_beyond_float_range_exits_4(self, capsys, tmp_path):
         # cycles of lengths 7, 11 and 13 each feed [[2, 1], [1, 1]] through
         # one entry: the primitive-Frobenius power is 1001, and its block

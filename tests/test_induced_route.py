@@ -16,6 +16,7 @@ from subperron import (
     factor_alphabet,
     frequency_table,
     kirchhoff_check,
+    spectral,
     stabilizing_power,
     words,
 )
@@ -32,6 +33,13 @@ MAX_LEN = 6
 PRIM4 = [("a", "ccb"), ("b", "acd"), ("c", "aaa"), ("d", "dab")]
 RED4 = [("a", "badb"), ("b", "aab"), ("c", "ddd"), ("d", "cd")]
 
+#: (rules, base letter, max_len) of the tables checked at every length
+EVERY_LENGTH = [
+    ([("t", "tab"), ("a", "aa"), ("b", "bb")], "t", 6),
+    (PRIM4, "a", 16),
+    (RED4, "a", 16),
+]
+
 
 @pytest.fixture(scope="module")
 def cases(corpus):
@@ -46,10 +54,14 @@ def cases(corpus):
     return out
 
 
-@pytest.fixture(scope="module")
-def tables(cases):
+def _tables(cases):
     return {(name, a): frequency_table(s, a, max_len=MAX_LEN, tol=1e-12)
             for name, s, bases in cases for a in bases}
+
+
+@pytest.fixture(scope="module")
+def tables(cases):
+    return _tables(cases)
 
 
 def _length(table, n):
@@ -115,11 +127,7 @@ def test_kirchhoff_matches_the_two_sum_formula(corpus, tables):
     assert any(kirchhoff_check(table).max_residual > 0 for table in checked)
 
 
-@pytest.mark.parametrize("rules,base,max_len", [
-    ([("t", "tab"), ("a", "aa"), ("b", "bb")], "t", 6),
-    (PRIM4, "a", 16),
-    (RED4, "a", 16),
-])
+@pytest.mark.parametrize("rules,base,max_len", EVERY_LENGTH)
 def test_every_length_within_tol(rules, base, max_len):
     s = Substitution.from_rules(rules)
     ref = frequency_table(s, base, max_len=max_len, tol=1e-14)
@@ -131,10 +139,10 @@ def test_every_length_within_tol(rules, base, max_len):
             assert gap <= tol, (rules, tol, n, gap)
 
 
-def test_tolerance_bound_skips_letters_the_base_never_reaches(
+def test_letters_the_base_never_reaches_leave_the_limit_alone(
         frequency_oracle):
-    # z(c) = c**30 would raise the bound on the error growth to about 4e4,
-    # and tol 1e-12 over it is below what the letter limit can settle to
+    # c -> c**30 has the longest image and the largest root, but a never
+    # reaches c, so neither touches the limits based at a
     s = Substitution.from_rules([("a", "abb"), ("b", "ba"), ("c", "c" * 30)])
     tab = frequency_table(s, "a", max_len=8, tol=1e-12)
     for n in range(1, 9):
@@ -143,6 +151,24 @@ def test_tolerance_bound_skips_letters_the_base_never_reaches(
         gap = sum(abs(got.get(w, 0.0) - ref.get(w, 0.0))
                   for w in set(got) | set(ref))
         assert gap <= 1e-10, (n, gap)
+
+
+def test_no_start_at_tol_above_zero_steps(cases, monkeypatch):
+    # the tables of the fixture and the references of the every-length
+    # test, built with every step of a trajectory refused
+    def step(self):
+        raise AssertionError("a run at tol > 0 took a step")
+
+    monkeypatch.setattr(spectral._Trajectory, "step", step)
+    built = _tables(cases)
+    assert all(table.iterations == 0 for table in built.values())
+    for rules, base, max_len in EVERY_LENGTH:
+        s = Substitution.from_rules(rules)
+        assert frequency_table(s, base, max_len=max_len,
+                               tol=1e-14).iterations == 0
+        # the patch bites: a run at tol 0 steps
+        with pytest.raises(AssertionError, match="took a step"):
+            frequency_table(s, base, max_len=max_len, tol=0, max_iter=1)
 
 
 def test_freq_and_measure_build_no_blow_up(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -60,10 +61,9 @@ def e(n, i):
     return tuple(v)
 
 
-def force_iteration(monkeypatch):
-    """The fallback of ``normalized_limit``: every block pass raises the
-    ``SingularSystemError`` of a singular block solve, so each run
-    iterates."""
+def force_singular_pass(monkeypatch):
+    """Every block pass raises the ``SingularSystemError`` of a singular
+    block solve, so each run at ``tol > 0`` is refused."""
     import subperron.spectral as spectral
 
     def singular(*args):
@@ -220,16 +220,17 @@ class TestNormalizedLimit:
 
     def test_near_tie_is_not_read_as_a_chain(self):
         # the 2x2 blocks' roots 10**10 + 1 and 10**10 tie within EIG_TOL, so
-        # the growth degree is 1, but there is no Jordan chain: the deflated
-        # read-out settles on (0, 0, 1/2, 1/2), an eigenvector of 10**10,
-        # while the iterate leaves it only as (1 - 1e-10)**t dies out; the
-        # run must not stop
+        # the growth degree is 1, but there is no Jordan chain: the block
+        # pass gives (0, 0, 1/2, 1/2), an eigenvector of 10**10, while the
+        # iterate leaves it only as (1 - 1e-10)**t dies out; the pass must
+        # be refused, at once, for its root gap
         h = 5 * 10**9
         m = ExactMatrix([[h, h + 1, 0, 0], [h + 1, h, 0, 0],
                          [1, 0, h, h], [0, 0, h, h]])
         rep = normalized_limit(m, e(4, 0), tol=1e-6, max_iter=200)
         assert rep.growth.degree == 1
-        assert not rep.converged and rep.iterations == 200
+        assert not rep.converged and rep.iterations == 0
+        assert "root gap |lam_hat - lam| 1.000e+00" in rep.diagnostic
 
     def test_dominated_start(self):
         m = ExactMatrix([[1, 0], [1, 3]])
@@ -260,33 +261,37 @@ class TestNormalizedLimit:
         assert rep.eigenvalue - 2.0 == pytest.approx(2.0 / 4000, rel=0.1)
 
     def test_budget_exhaustion_returns_final_iterate(self, monkeypatch):
-        # two heads of root 10 fed at ratio 9/10: iterating, the run settles
-        # within 1e-12 only after 263 steps
-        force_iteration(monkeypatch)
-        rep = normalized_limit(TWO_HEADS, e(3, 2), tol=1e-12, max_iter=100)
+        # at tol 0 the run takes exactly its budget and reports that iterate
+        rep = normalized_limit(TWO_HEADS, e(3, 2), tol=0, max_iter=100)
         assert not rep.converged
         assert rep.iterations == 100
-        assert rep.diagnostic is not None
+        assert "max_iter=100 reached" in rep.diagnostic
+        w = mat_pow_apply(TWO_HEADS, e(3, 2), 100)
+        assert l1_dist(rep.limit, [x / sum(w) for x in w]) < 1e-15
+        # at tol > 0 a pass with a singular block solve is refused at once
+        force_singular_pass(monkeypatch)
+        rep = normalized_limit(TWO_HEADS, e(3, 2), tol=1e-12, max_iter=100)
+        assert not rep.converged and rep.iterations == 0
+        assert "a block solve is singular" in rep.diagnostic
+        assert rep.limit == (0.0, 0.0, 1.0)
 
     def test_budget_stop_reports_final_step_values(self, m8, aab_bb,
                                                    monkeypatch):
-        # the residual and eigen-estimate are computed lazily; a run that
-        # stops on budget must still report them for its final iterate
+        # a run that stops on budget, or is refused, reports the residual
+        # and eigen-estimate of the vector it returns
         def measured(m, x):
             y = float_matvec(m, x)
             lam = sum(y)
             return lam, l1_dist(y, [lam * c for c in x])
 
-        # tol 0 never asks for the residual before the end; from the two
-        # heads' e_3 at tol 1e-3, iterating, the successive difference is
-        # within tol from t = 45 on, so the residual is computed at earlier
-        # steps too, and stays above tol until t = 66
-        for m, v0, tol in ((m8, e(8, 0), 0), (TWO_HEADS, e(3, 2), 1e-3)):
-            if tol:
-                force_iteration(monkeypatch)
-            rep = normalized_limit(m, v0, tol=tol, max_iter=50)
+        for m, v0 in ((m8, e(8, 0)), (TWO_HEADS, e(3, 2))):
+            rep = normalized_limit(m, v0, tol=0, max_iter=50)
             assert not rep.converged and rep.iterations == 50
             assert (rep.eigenvalue, rep.residual) == measured(m, rep.limit)
+        force_singular_pass(monkeypatch)
+        rep = normalized_limit(TWO_HEADS, e(3, 2), tol=1e-3, max_iter=50)
+        assert not rep.converged and rep.iterations == 0
+        assert (rep.eigenvalue, rep.residual) == measured(TWO_HEADS, rep.limit)
 
         with pytest.raises(MaxIterError) as exc_info:
             frequency_table(aab_bb, "a", max_len=3, tol=0, max_iter=50)
@@ -296,11 +301,9 @@ class TestNormalizedLimit:
         x1 = [table.entries[(i,)] for i in range(m1.n)]
         assert table.growth_rate == measured(m1, x1)[0]
 
-    def test_residual_only_at_steps_within_tol(self, monkeypatch):
-        # the residual's float matvec runs once after the block pass, and,
-        # when the run iterates, once at each step whose successive
-        # difference is within tol (TWO_HEADS from e_3 at 1e-10: 22 of 219
-        # steps), never else
+    def test_residual_once_per_run(self, monkeypatch):
+        # the residual's float matvec runs once per run: after the block
+        # pass, after a refused one, or after the last step at tol 0
         import subperron.spectral as spectral
 
         calls = []
@@ -319,17 +322,15 @@ class TestNormalizedLimit:
             rep = normalized_limit(m, v0, tol=tol)
             assert rep.converged and rep.iterations == 0
             assert len(calls) == 1
-        force_iteration(monkeypatch)
+        for m, v0, _ in cases:
+            calls.clear()
+            rep = normalized_limit(m, v0, tol=0, max_iter=200)
+            assert rep.iterations == 200 and len(calls) == 1
+        force_singular_pass(monkeypatch)
         for m, v0, tol in cases:
             calls.clear()
             rep = normalized_limit(m, v0, tol=tol)
-            assert rep.converged and rep.growth.degree == 0
-            traj = _Trajectory(m, v0)
-            within = 0
-            for _ in range(rep.iterations):
-                traj.step()
-                within += traj.diff <= tol
-            assert len(calls) == within
+            assert not rep.converged and len(calls) == 1
 
     def test_rejects_imprimitive(self, antidiag4):
         with pytest.raises(NotPBFrobeniusError):
@@ -359,6 +360,16 @@ class TestNormalizedLimit:
         expected = [float(x >> shift) / denominator for x in exact]
         assert l1_dist(traj.x, expected) < 1e-12
 
+    def test_rescale_keeps_the_smallest_coordinate(self):
+        # a rescale that kept 64 bits below the largest coordinate would
+        # shift the second one to 0 at t = 64 and return (1, 0); the
+        # iterate at t = 400 is still (5.9e-11, 1 - 5.9e-11)
+        m = ExactMatrix([[2, 0], [0, 3]])
+        rep = normalized_limit(m, (2**200, 1), tol=0, max_iter=400)
+        w = mat_pow_apply(m, (2**200, 1), 400)
+        exact = [float(Fraction(x, sum(w))) for x in w]
+        assert l1_dist(rep.limit, exact) <= 1e-15
+
 
 class TestBlockPass:
     """Every start takes the block pass without a step, with one head or
@@ -375,7 +386,7 @@ class TestBlockPass:
         return [m8, TWO_HEADS, TWO_FIBONACCI, TWO_SKEWED] + [
             random_pb_frobenius_expanding(rng) for _ in range(120)]
 
-    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-14])
     def test_every_start_takes_the_block_pass(self, matrices, tol):
         counts = {"starts": 0, "two heads": 0, "degree": 0}
         for m in matrices:
