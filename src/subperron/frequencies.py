@@ -48,7 +48,6 @@ from .matrices import BlockDecomposition, ExactMatrix, scc_blocks
 from .spectral import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    ConvergenceReport,
     _power_pairs,
     check_budget,
     float_matvec,
@@ -92,28 +91,20 @@ class KirchhoffReport(NamedTuple):
     worst_word: str
 
 
-def _settled_limit(s: Substitution, a: int, n: int,
-                   report: ConvergenceReport) -> tuple[float, ...]:
-    """The limit of a converged letter report; raise otherwise (``n`` is
-    the length asked for)."""
-    if not report.converged:
-        what = "letter" if n == 1 else f"length-{n}"
-        raise MaxIterError(
-            f"{what} frequencies for base {s.alphabet.letters[a]!r} did not "
-            f"settle: {report.diagnostic}", partial=report)
-    return report.limit
-
-
 class _InducedLimits:
-    """The limits ``f_n`` based at letter ``a`` (see the module docstring).
-    ``report`` is the letter limit's, on ``m1``, the incidence matrix of
-    ``zs``; ``stable`` is ``words._stabilizing(s)``."""
+    """The limits ``f_n`` based at letter ``a``, a letter or its index (see
+    the module docstring).  ``report`` is the letter limit's, on ``m1``,
+    the incidence matrix of ``zs``.  ``stable`` is
+    ``words._stabilizing(s)``, computed after the letter is resolved when
+    not given, so that each entry point keeps its order of errors."""
 
-    def __init__(self, s: Substitution,
-                 stable: tuple[int, ExactMatrix, BlockDecomposition], a: int,
-                 tol: float, max_iter: int):
+    def __init__(self, s: Substitution, a, tol: float, max_iter: int,
+                 stable: tuple[int, ExactMatrix, BlockDecomposition]
+                 | None = None):
+        a = _letter_index(s, a)
+        self.letter = s.alphabet.letters[a]
+        power, m, dec0 = stable or _stabilizing(s)
         check_budget(tol, max_iter)
-        power, m, dec0 = stable
         zs, m1, dec = s, m, dec0
         if power > 1:
             zs = s.power(power)
@@ -128,6 +119,19 @@ class _InducedLimits:
         f1 = self.report.limit
         self.lam = lsum(x * len(w) for x, w in zip(f1, self.language.z))
         self.levels = {1: dict(zip(self.language.factors(1), f1))}
+
+    def settled(self, n: int, partial=None) -> tuple[float, ...]:
+        """The letter limit, when it converged.  Otherwise raise the one
+        ``MaxIterError`` of every entry point: for length ``n``, naming
+        the report's diagnostic, carrying ``partial`` (default the
+        report)."""
+        if not self.report.converged:
+            what = "letter" if n == 1 else f"length-{n}"
+            raise MaxIterError(
+                f"{what} frequencies for base {self.letter!r} did not "
+                f"settle: {self.report.diagnostic}",
+                partial=self.report if partial is None else partial)
+        return self.report.limit
 
     def level(self, n: int) -> dict[str, float]:
         """``f_n`` on the length-n factors of the language."""
@@ -168,9 +172,8 @@ def letter_frequencies(s: Substitution, a, tol: float = DEFAULT_TOL,
                        max_iter: int = DEFAULT_MAX_ITER):
     """Limit frequencies of the letters inside ``zeta**t(a)``: ``(vector,
     report)``, the vector indexed by the alphabet, with sum one."""
-    a = _letter_index(s, a)
-    report = _InducedLimits(s, _stabilizing(s), a, tol, max_iter).report
-    return _settled_limit(s, a, 1, report), report
+    limits = _InducedLimits(s, a, tol, max_iter)
+    return limits.settled(1), limits.report
 
 
 def growth_rate(s: Substitution, a, tol: float = DEFAULT_TOL,
@@ -188,9 +191,8 @@ def factor_frequencies(s: Substitution, a, n: int,
     keyed by index tuples; words outside the language do not appear."""
     if n < 2:
         raise ValueError("use letter_frequencies for length 1")
-    a = _letter_index(s, a)
-    limits = _InducedLimits(s, _stabilizing(s), a, tol, max_iter)
-    _settled_limit(s, a, n, limits.report)
+    limits = _InducedLimits(s, a, tol, max_iter)
+    limits.settled(n)
     return {_indices(w): x for w, x in limits.level(n).items()}
 
 
@@ -205,8 +207,7 @@ def frequency_table(s: Substitution, a, max_len: int,
     stable = _stabilizing(s)
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    a = _letter_index(s, a)
-    limits = _InducedLimits(s, stable, a, tol, max_iter)
+    limits = _InducedLimits(s, a, tol, max_iter, stable)
     # the factors of each shorter length are keys of their own, not read
     # off the top level: a factor need not lie inside any longer one
     entries: dict[str, float] = {}
@@ -218,18 +219,14 @@ def frequency_table(s: Substitution, a, max_len: int,
         for n in range(1, max_len):
             entries[w[:n]] += f
     x1 = [entries[w] for w in limits.language.factors(1)]
-    report = limits.report
     table = FrequencyTable(
-        substitution=s, base_letter=s.alphabet.letters[a],
+        substitution=s, base_letter=limits.letter,
         power_used=stable[0], max_len=max_len,
         entries={_indices(w): f for w, f in entries.items()},
         growth_rate=lsum(float_matvec(limits.m1, x1)),
-        iterations=report.iterations,
+        iterations=limits.report.iterations,
     )
-    if not report.converged:
-        raise MaxIterError(
-            f"frequency table did not settle within {max_iter} iterations",
-            partial=table)
+    limits.settled(max_len, partial=table)
     return table
 
 
@@ -279,6 +276,6 @@ def measure_cylinder(s: Substitution, a, word,
         if not 0 <= i < len(s.alphabet):
             raise ParseError(f"letter index {i} out of range")
     n = len(word)
-    limits = _InducedLimits(s, stable, a, tol, max_iter)
-    _settled_limit(s, a, n, limits.report)
+    limits = _InducedLimits(s, a, tol, max_iter, stable)
+    limits.settled(n)
     return limits.level(n).get(_code(word), 0.0)

@@ -12,7 +12,7 @@ limit whose pass fails its test is refused, with no step; only a run at
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import _linalg
 from ._linalg import lsum
@@ -99,13 +99,6 @@ def _same_root(x: float, y: float, exact: bool) -> bool:
     if exact and max(x, y) < 2.0**53:
         return x == y
     return abs(x - y) <= EIG_TOL * max(1.0, abs(x), abs(y))
-
-
-def _tied(dec: BlockDecomposition, eigenvalues: Sequence[float],
-          b: int, c: int) -> bool:
-    """Whether blocks ``b`` and ``c`` share their root."""
-    return _same_root(eigenvalues[b], eigenvalues[c],
-                      len(dec.members(b)) == len(dec.members(c)) == 1)
 
 
 def l1_norm(v: Sequence[float]) -> float:
@@ -195,22 +188,11 @@ def pf_eigen_block(m: ExactMatrix, dec: BlockDecomposition,
                    i: int) -> tuple[float, FloatVector]:
     """Perron-Frobenius eigenvalue and l1-normalized positive eigenvector of
     the diagonal block ``i`` (which must be primitive or a 1x1 zero/one
-    block).
-
-    Power iteration on the block's non-zeros from the uniform vector; the
-    Collatz-Wielandt bracket ``[min_i (Av)_i/v_i, max_i (Av)_i/v_i]``
-    certifies the eigenvalue once its width drops below the absolute
-    ``PF_BRACKET_WIDTH``, which rounding can keep it from above a root of
-    about 1e4 (``MaxIterError`` after 500,000 steps).  One Wielandt
-    inverse-iteration solve ``(sigma I - A) y = x`` with
-    ``sigma = hi + max(hi - lo, 1e-9 hi)`` then takes the vector to float
-    precision.  The root is ``||A y||_1``, the ``y``-weighted mean of the
-    ratios of ``y``'s bracket, where its midpoint would carry a tiny
-    coordinate's rounding.  The pair is stored on ``dec``, and later calls
-    for the same block and matrix read it back.  On a power ``M**t``, ``_power_pairs`` stores beforehand
-    the pairs of the blocks that are primitive blocks of ``M``, which are
-    thus certified on ``M`` and never on the power.
-    """
+    block), certified by ``_certify_pf``.  The pair is stored on ``dec``,
+    and later calls for the same block and matrix read it back.  On a power
+    ``M**t``, ``_power_pairs`` stores beforehand the pairs of the blocks
+    that are primitive blocks of ``M``, which are thus certified on ``M``
+    and never on the power."""
     stored = dec.pf_pairs.get(i)
     if stored is None or stored[0] is not m:
         stored = dec.pf_pairs[i] = (m, _certify_pf(m, dec, i))
@@ -245,7 +227,14 @@ def _power_pairs(m: ExactMatrix, dec0: BlockDecomposition, t: int,
 
 def _certify_pf(m: ExactMatrix, dec: BlockDecomposition,
                 i: int) -> tuple[float, FloatVector]:
-    """The pair of ``pf_eigen_block``, computed."""
+    """The pair of ``pf_eigen_block``, computed.  Power iteration from the
+    uniform vector certifies the root once the Collatz-Wielandt bracket
+    ``[min_i (Av)_i/v_i, max_i (Av)_i/v_i]`` is narrower than the absolute
+    ``PF_BRACKET_WIDTH``, which rounding can keep it from above a root of
+    about 1e4 (``MaxIterError`` after 500,000 steps).  One Wielandt
+    inverse-iteration solve then takes the vector to float precision.  The
+    root is ``||A y||_1``, the ``y``-weighted mean of the ratios of ``y``'s
+    bracket, where its midpoint would carry a tiny coordinate's rounding."""
     cls = dec.classes[i]
     members = dec.members(i)
     if cls is BlockClass.ZERO_ONE:
@@ -312,20 +301,23 @@ def _longest_chain(dec: BlockDecomposition, candidates: set[int]) -> int:
     return max(length.values(), default=0)
 
 
-def _maximal(dec: BlockDecomposition, eigenvalues: Sequence[float],
-             blocks: set[int]) -> set[int]:
-    """The blocks in ``blocks`` (not empty) whose root ties the largest."""
+def _top(dec: BlockDecomposition, eigenvalues: Sequence[float],
+         blocks: set[int]) -> tuple[float, set[int]]:
+    """The largest root ``lam`` among ``blocks`` (not empty) and the blocks
+    whose root ties it: the one place a tie is decided (``_same_root``,
+    exact when both blocks are 1x1)."""
     top = max(blocks, key=eigenvalues.__getitem__)
-    return {b for b in blocks if b == top or _tied(dec, eigenvalues, b, top)}
+    lam, one = eigenvalues[top], len(dec.members(top)) == 1
+    return lam, {b for b in blocks if b == top or _same_root(
+        eigenvalues[b], lam, one and len(dec.members(b)) == 1)}
 
 
 def _growth_of(dec: BlockDecomposition, eigenvalues: Sequence[float],
                blocks: set[int]) -> GrowthType:
-    lam = max((eigenvalues[b] for b in blocks), default=0.0)
+    lam, tied = _top(dec, eigenvalues, blocks) if blocks else (0.0, set())
     if lam <= 0.0:
         return GrowthType(0.0, 0)
-    return GrowthType(
-        lam, _longest_chain(dec, _maximal(dec, eigenvalues, blocks)) - 1)
+    return GrowthType(lam, _longest_chain(dec, tied) - 1)
 
 
 def growth_type(dec: BlockDecomposition, eigenvalues: Sequence[float],
@@ -352,14 +344,13 @@ def dominant_interior_contains(dec: BlockDecomposition,
     for idx, val in enumerate(v):
         if val != 0.0 and idx not in cone_indices:
             raise ValueError("support of v must lie inside the cone")
-    growth = _growth_of(dec, eigenvalues, cone_blocks)
-    if growth.lam <= 0.0:
+    if not cone_blocks:
         return False
-    maximal = _maximal(dec, eigenvalues, cone_blocks)
-    positive = {
-        b for b in maximal if all(v[idx] > 0.0 for idx in dec.members(b))
-    }
-    return _longest_chain(dec, positive) == growth.degree + 1
+    lam, tied = _top(dec, eigenvalues, cone_blocks)
+    positive = {b for b in tied
+                if all(v[idx] > 0.0 for idx in dec.members(b))}
+    return lam > 0.0 and (
+        _longest_chain(dec, positive) == _longest_chain(dec, tied))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +370,7 @@ def _closure(dec: BlockDecomposition, support: Sequence[int]) -> set[int]:
 
 
 def _block_pass(m: ExactMatrix, dec: BlockDecomposition,
-                eigenvalues: Sequence[float], blocks: Iterable[int],
+                eigenvalues: Sequence[float], blocks: set[int],
                 v0: Sequence[float]) -> FloatVector:
     """The leading Laurent coefficient of ``(zI - M)**-1 v0`` at the top
     root ``lam`` of ``blocks``, exactly the blocks that ``v0`` reaches: the
@@ -389,7 +380,7 @@ def _block_pass(m: ExactMatrix, dec: BlockDecomposition,
     One pass in flow order gives each block the highest pole order among
     its inputs: ``v0`` on the block counts as order 0, and a feeder's flow
     ``M_ba x_a`` as the feeder's order.  A block whose root ties ``lam``
-    (``_maximal``) raises the order by one and takes the residue of its
+    (``_top``) raises the order by one and takes the residue of its
     resolvent, ``x = r (l . in) / (l . r)`` with ``r`` and ``l`` its right
     and left PF vectors; every other block keeps the order and solves
     ``(lam I - B) x = in``.  The coefficient is ``x`` on the blocks of the
@@ -400,15 +391,13 @@ def _block_pass(m: ExactMatrix, dec: BlockDecomposition,
     tied block takes ``x = r``.  ``l`` solves ``l (root I - B) = 0`` with
     ``l_0 = 1``.  A tied cyclic block (the principal block of a
     non-expanding report) has the uniform ``r``."""
-    blocks = sorted(blocks)
-    tied = _maximal(dec, eigenvalues, set(blocks))
-    lam = max(map(eigenvalues.__getitem__, blocks))
+    lam, tied = _top(dec, eigenvalues, blocks)
     scaled = len(tied) > 1 and sum(
         not dec.dependency[b] & tied for b in tied) > 1
     level = [-1] * m.n  # the pole order at each coordinate
     x = [0.0] * m.n
     try:
-        for b in blocks:
+        for b in sorted(blocks):
             members = dec.members(b)
             q = max([0] + [level[j] for i in members for j, _ in m.rows[i]])
             # a tied block needs its inflow only to be weighed
@@ -468,17 +457,17 @@ def normalized_limit(m: ExactMatrix, v0: Sequence[int],
     closure gives the point.  At ``tol > 0`` the report carries it,
     l1-normalized, with ``iterations=0``, and is converged when its
     eigen-residual ``||M x - lam_hat x||_1`` (``lam_hat = ||M x||_1``) is
-    below ``tol`` and, when the growth type ``lam**t * t**d`` (from block
-    data) has ``d >= 1``, so is the root gap ``|lam_hat - lam|``: a tie
-    within ``EIG_TOL`` alone (blocks ``[[h, h + 1], [h + 1, h]]`` and
-    ``[[h, h], [h, h]]`` with ``h = 5 * 10**9``) has no chain, and the pass
-    then gives an eigenvector of the other root.  Otherwise, or when a block
-    solve of the pass is singular (the report then carries the normalized
-    ``v0``), the run is refused at once, with a diagnostic naming the test.
-    At ``tol=0`` the run takes exactly ``max_iter`` exact steps and reports
-    that iterate, not converged.  ``dec`` and ``eigenvalues``, when given,
-    are ``scc_blocks(m)`` and ``block_eigenvalues(m, dec)``, and are not
-    computed again.
+    below ``tol`` and, when the growth type ``lam**t * t**d`` has
+    ``d >= 1``, so is the root gap ``|lam_hat - lam|``.  The gap test is
+    needed: ``_top`` ties the blocks ``[[h, h + 1], [h + 1, h]]`` and
+    ``[[h, h], [h, h]]``, ``h = 5 * 10**9``, within ``EIG_TOL`` alone,
+    they have no chain, and the pass then gives an eigenvector of the
+    other root.  A run that fails a test, or whose block solve is singular
+    (the report then carries the normalized ``v0``), is refused at once,
+    with a diagnostic naming the test.  At ``tol=0`` the run takes exactly
+    ``max_iter`` exact steps and reports that iterate, not converged.
+    ``dec`` and ``eigenvalues``, when given, are ``scc_blocks(m)`` and
+    ``block_eigenvalues(m, dec)``, and are not computed again.
     """
     check_budget(tol, max_iter)
     if dec is None:
@@ -534,14 +523,15 @@ def classify_limit_case(dec: BlockDecomposition, eigenvalues: Sequence[float],
     """Which of the three limit cases governs trajectories started in block
     ``i``: 1 when its eigenvalue beats everything it feeds (limits unique up
     to scale, positive on the block), 2 on a tie, 3 when it is dominated
-    (limits may depend on the starting vector)."""
-    lam = eigenvalues[i]
+    (limits may depend on the starting vector).  ``i`` is compared with
+    ``u``, the block of largest root that it feeds, alone: the float tie
+    rule is not transitive, so the tie set of all it feeds can tie ``i`` to
+    a block of smaller root than ``u``'s when ``u`` does not tie ``i``."""
     u = max(dec.dependency[i], key=eigenvalues.__getitem__, default=None)
     if u is None:
-        return 2 if lam == 0.0 else 1
-    if _tied(dec, eigenvalues, i, u):
-        return 2
-    return 1 if lam > eigenvalues[u] else 3
+        return 2 if eigenvalues[i] == 0.0 else 1
+    tied = _top(dec, eigenvalues, {i, u})[1]
+    return 2 if len(tied) == 2 else 1 if i in tied else 3
 
 
 def principal_blocks(dec: BlockDecomposition,

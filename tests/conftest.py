@@ -210,6 +210,16 @@ def is_entrywise_positive(m: ExactMatrix) -> bool:
     return all(len(row) == m.n for row in m.rows)
 
 
+def left_sum(xs) -> float:
+    """The floats ``xs`` added left to right from 0.0, as the package adds
+    them.  The builtin ``sum`` compensates the rounding from Python 3.12
+    on, so a reference built on it differs in the last bits there."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 # ---------------------------------------------------------------------------
 # a limit oracle that shares no code with the package, from fractions and
 # decimal alone: the exact integer iterate, each component's root from its

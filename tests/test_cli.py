@@ -206,6 +206,21 @@ class TestAnalyzeMatrix:
         code, _, _ = run(capsys, "analyze-matrix", workdir / "nope.txt")
         assert code == 2
 
+    def test_non_integer_vector(self, capsys, workdir):
+        code, out, err = run(capsys, "analyze-matrix", workdir / "m8.txt",
+                             "--vector", "1,x,0,0,0,0,0,0")
+        assert (code, out) == (2, "")
+        assert "invalid --vector" in err
+
+    def test_block_entry_beyond_float_range_exits_4(self, capsys, tmp_path):
+        # the entry 2**1100 lies inside the one 2x2 block: the PF
+        # certification meets it
+        path = tmp_path / "big1100.txt"
+        path.write_text(f"{2**1100} 1\n1 1\n")
+        code, out, err = run(capsys, "analyze-matrix", path)
+        assert (code, out) == (4, "")
+        assert "block B1 has an entry beyond float range" in err
+
     def test_bad_vector_length(self, capsys, workdir):
         code, _, err = run(capsys, "analyze-matrix", workdir / "m8.txt",
                            "--vector", "1,0")
@@ -342,6 +357,16 @@ class TestFreq:
     def test_non_expanding_exits_3(self, capsys, workdir):
         code, _, _ = run(capsys, "freq", workdir / "nonexp.sub", "--letter", "a")
         assert code == 3
+
+    def test_refused_pass_exits_4_with_its_test(self, capsys):
+        # no float residual reaches 1e-18: the pass is refused, no step
+        # is taken, and the message names the failed test
+        code, out, err = run(capsys, "freq",
+                             TestDecomposeOnce.INPUTS / "tribonacci.sub",
+                             "--letter", "a", "--max-len", "3",
+                             "--tol", "1e-18")
+        assert (code, out) == (4, "")
+        assert "block pass refused: residual" in err
 
     def test_determinism(self, capsys, workdir):
         args = ("freq", workdir / "fib.sub", "--letter", "a", "--max-len", "2")

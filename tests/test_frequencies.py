@@ -179,6 +179,18 @@ class TestFrequencyTable:
         assert weight("aab") == pytest.approx(F_AA, abs=1e-8)
         assert weight("aba") == pytest.approx(F_AB, abs=1e-8)
 
+    def test_refused_pass_names_its_test(self, corpus):
+        # no float residual reaches 1e-18: the pass is refused at once,
+        # and the error names the residual and carries the table
+        with pytest.raises(MaxIterError) as exc_info:
+            frequency_table(corpus["tribonacci"], "a", max_len=3, tol=1e-18)
+        assert str(exc_info.value).startswith(
+            "length-3 frequencies for base 'a' did not settle: "
+            "block pass refused: residual ")
+        table = exc_info.value.partial
+        assert type(table) is FrequencyTable
+        assert (table.max_len, table.iterations) == (3, 0)
+
     def test_kirchhoff_on_fibonacci(self, fib):
         tab = frequency_table(fib, "a", max_len=3)
         report = kirchhoff_check(tab)
@@ -329,7 +341,7 @@ class TestMeasureCylinder:
 class TestArgumentRanges:
     """Each library entry point refuses a ``max_iter`` below 0 and a
     ``tol`` that is negative or not finite, with the command line's
-    wording, before any tolerance is divided."""
+    wording, before any limit is computed."""
 
     ENTRY_POINTS = {
         "normalized_limit": lambda fib, **kw: normalized_limit(

@@ -22,7 +22,7 @@ from subperron import (
 )
 from subperron.cli import main
 
-from conftest import random_expanding
+from conftest import left_sum, random_expanding
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
 MAX_LEN = 6
@@ -104,8 +104,8 @@ def _two_sum_kirchhoff(table):
     for w, f in entries.items():
         if len(w) >= table.max_len:
             continue
-        left = sum([entries.get(b + w, 0.0) for b in letters])
-        right = sum([entries.get(w + b, 0.0) for b in letters])
+        left = left_sum([entries.get(b + w, 0.0) for b in letters])
+        right = left_sum([entries.get(w + b, 0.0) for b in letters])
         violation = max(abs(f - left), abs(f - right))
         if violation > worst:
             worst = violation

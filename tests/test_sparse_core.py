@@ -18,12 +18,14 @@ from subperron import (
     scc_blocks,
     stabilizing_power,
 )
-from subperron._linalg import lsum
+from subperron._linalg import lsum, solve
+from subperron.errors import SingularSystemError
 from subperron.spectral import float_matvec
 from conftest import (
     ANTIDIAG4_ROWS,
     CASE3_ROWS,
     M8_ROWS,
+    left_sum,
     random_pb_frobenius_expanding,
 )
 
@@ -57,7 +59,7 @@ def dense_apply(rows, v):
 
 def dense_float_matvec(rows, x):
     n = len(rows)
-    return [sum(row[j] * x[j] for j in range(n)) for row in rows]
+    return [left_sum(row[j] * x[j] for j in range(n)) for row in rows]
 
 
 def dense_matmul(a, b):
@@ -215,6 +217,11 @@ def test_lsum_adds_left_to_right():
             total += x
         assert lsum(xs) == total
         assert lsum(iter(xs)) == total
+
+
+def test_singular_system_is_refused():
+    with pytest.raises(SingularSystemError):
+        solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
 
 
 def test_matmul_equals_dense(dense_cases):

@@ -176,6 +176,9 @@ class TestDominantInterior:
         assert dominant_interior_contains(dec, eig, {0}, [0.5, 0.5])
         assert not dominant_interior_contains(dec, eig, {0}, [1.0, 0.0])
 
+    def test_empty_cone_contains_nothing(self, dec8, eig8):
+        assert dominant_interior_contains(dec8, eig8, set(), [0.0] * 8) is False
+
     def test_rejects_non_invariant_cone(self, dec8, eig8):
         with pytest.raises(ValueError):
             dominant_interior_contains(dec8, eig8, {0}, [1.0] * 8)
@@ -459,6 +462,18 @@ class TestClassifyLimitCase:
         assert classify_limit_case(dec8, eig8, 1) == 2
         assert classify_limit_case(dec8, eig8, 2) == 1
         assert classify_limit_case(dec8, eig8, 3) == 1
+
+    def test_compared_with_the_largest_feed_alone(self):
+        # block 0 (root n + 1) feeds blocks of the exact roots n and n - 1;
+        # EIG_TOL ties n + 1 to the 2x2 block's n - 1 but not to the 1x1
+        # block's n, so a tie set over all that block 0 feeds would make
+        # its case 2
+        n = 2 * 10**9
+        _, dec, eig = analysis([[n + 1, 0, 0, 0], [1, n, 0, 0],
+                                [1, 0, 1, n - 2], [0, 0, n - 2, 1]])
+        assert eig == (n + 1, n, n - 1)
+        assert [classify_limit_case(dec, eig, i) for i in range(3)] == [1, 1, 1]
+        assert principal_blocks(dec, eig) == {0, 1, 2}
 
 
 class TestPrincipalBlocks:
