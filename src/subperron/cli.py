@@ -27,8 +27,7 @@ from .frequencies import frequency_table, kirchhoff_check, measure_cylinder
 from .matrices import (
     BlockDecomposition,
     ExactMatrix,
-    _frobenius_partition,
-    _frobenius_power,
+    _frobenius_exponents,
     load_matrix,
     scc_blocks,
 )
@@ -36,7 +35,7 @@ from .spectral import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     ConvergenceReport,
-    _power_pairs,
+    _power,
     block_eigenvalues,
     check_budget,
     growth_type,
@@ -76,11 +75,9 @@ def _matrix_report(m: ExactMatrix, dec0: BlockDecomposition,
                    names: Sequence[str] | None = None) -> dict:
     """Analysis pipeline on ``m`` and its decomposition ``dec0``: Frobenius
     powers, eigenvalues, growth types, principal blocks and eigenvectors."""
-    t_pb = _frobenius_partition(m, dec0, split_cyclic=False)[0]
-    t_pf, mt, dec = _frobenius_power(m, dec0, split_cyclic=True)
+    t_pb, t_pf = _frobenius_exponents(m, dec0)
     try:
-        if t_pf > 1:
-            _power_pairs(m, dec0, t_pf, mt, dec)
+        mt, dec = _power(m, dec0, t_pf)
         eigenvalues = block_eigenvalues(mt, dec)
     except FloatRangeError as exc:
         raise FloatRangeError(

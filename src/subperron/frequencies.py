@@ -44,11 +44,11 @@ from typing import NamedTuple
 from . import _linalg
 from ._linalg import lsum
 from .errors import MaxIterError, ParseError
-from .matrices import BlockDecomposition, ExactMatrix, scc_blocks
+from .matrices import BlockDecomposition, ExactMatrix
 from .spectral import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    _power_pairs,
+    _power,
     check_budget,
     float_matvec,
     normalized_limit,
@@ -94,7 +94,8 @@ class KirchhoffReport(NamedTuple):
 class _InducedLimits:
     """The limits ``f_n`` based at letter ``a``, a letter or its index (see
     the module docstring).  ``report`` is the letter limit's, on ``m1``,
-    the incidence matrix of ``zs``.  ``stable`` is
+    the incidence matrix of ``zs``: ``M**p`` for the letter matrix ``M``
+    and the stabilizing power ``p``.  ``stable`` is
     ``words._stabilizing(s)``, computed after the letter is resolved when
     not given, so that each entry point keeps its order of errors."""
 
@@ -105,12 +106,9 @@ class _InducedLimits:
         self.letter = s.alphabet.letters[a]
         power, m, dec0 = stable or _stabilizing(s)
         check_budget(tol, max_iter)
-        zs, m1, dec = s, m, dec0
-        if power > 1:
-            zs = s.power(power)
-            m1 = zs.incidence_matrix()
-            dec = scc_blocks(m1)
-            _power_pairs(m, dec0, power, m1, dec)
+        # an image overflow is reported before any certification
+        zs = s.power(power) if power > 1 else s
+        m1, dec = _power(m, dec0, power)
         self.language, self.m1 = _Language(zs), m1
         v0 = [0] * m1.n
         v0[a] = 1

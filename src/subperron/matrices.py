@@ -211,7 +211,7 @@ class BlockDecomposition(_Blocks):
     reaches block ``j``); ``block_index[v]`` is the block holding original
     index ``v``.  ``pf_pairs`` holds the block PF pairs that
     ``spectral.pf_eigen_block`` certified, and, on a power ``M**t``, those
-    that ``spectral._power_pairs`` took from the primitive blocks of ``M``,
+    that ``spectral._power`` took from the primitive blocks of ``M``,
     so that each is certified once for as long as the decomposition is
     used; it lives outside the tuple, so equality, hash and repr ignore
     it.
@@ -310,9 +310,9 @@ def _cyclic_classes(adj: list[list[int]], comp: Sequence[int]) -> list[list[int]
     """Cyclic classes of a strongly connected component; their number is
     its period.  One BFS from ``comp[0]`` over the successor lists ``adj``
     (edges restricted to the component) gives levels; the period ``h`` is
-    the gcd over the component's edges ``u -> v`` of
-    ``level(u) + 1 - level(v)``, and a class holds the vertices of one level
-    residue mod ``h``.  Classes are sorted and ordered by first member."""
+    the gcd over the component's edges ``u -> v`` of ``level(u) + 1 -
+    level(v)``, and class ``k``, sorted, holds the levels ``k`` mod ``h``:
+    every edge leads from class ``k`` to class ``k + 1`` mod ``h``."""
     members = set(comp)
     level = {comp[0]: 0}
     queue = [comp[0]]
@@ -335,7 +335,6 @@ def _cyclic_classes(adj: list[list[int]], comp: Sequence[int]) -> list[list[int]
         classes[level[v] % h].append(v)
     for cls in classes:
         cls.sort()
-    classes.sort(key=lambda c: c[0])
     return classes
 
 
@@ -480,59 +479,59 @@ def is_expanding(m: ExactMatrix) -> bool:
     return scc_blocks(m).is_expanding()
 
 
-def _frobenius_partition(m: ExactMatrix, dec: BlockDecomposition,
-                         split_cyclic: bool,
-                         ) -> tuple[int, list[list[int]], list[BlockClass]]:
-    """``(t, blocks, classes)``: the least power ``t`` at which every
-    imprimitive block of ``dec = scc_blocks(m)`` (with ``split_cyclic``,
-    also every cyclic permutation block) splits into its cyclic classes;
-    the blocks of ``m**t`` (those classes and the other blocks, in flow
-    order) and their classes.  Takes no power of ``m``."""
+def _frobenius_exponents(m: ExactMatrix, dec: BlockDecomposition) -> tuple[int, int]:
+    """``(t_pb, t_pf)``: the lcm of the periods of the imprimitive blocks of
+    ``dec = scc_blocks(m)``, and that taken also over its cyclic
+    permutation blocks, whose period is their length."""
     adj = _successors(m)
-    exponent = 1
+    t_pb = t_pf = 1
+    for i, cls in enumerate(dec.classes):
+        if cls is BlockClass.IMPRIMITIVE:
+            t_pb = math.lcm(t_pb, len(_cyclic_classes(adj, dec.members(i))))
+        elif cls is BlockClass.POWER_BOUNDED:
+            t_pf = math.lcm(t_pf, len(dec.members(i)))
+    return t_pb, math.lcm(t_pb, t_pf)
+
+
+def _power_decomposition(m: ExactMatrix, dec: BlockDecomposition, t: int,
+                         mt: ExactMatrix) -> BlockDecomposition:
+    """The decomposition of ``mt = m**t``, read off the cyclic classes of
+    ``dec = scc_blocks(m)`` with no search.  A block of period ``h``
+    (imprimitive, or a cycle of length ``h``) becomes ``g = gcd(h, t)``
+    blocks, the unions of its classes ``k, k + g, ...``: primitive or
+    zero/one when ``g = h``, else of its class.  Other blocks stay whole.
+    No edge of ``mt`` joins two parts of one block, so the parts, in the
+    order of ``dec``, are in flow order."""
+    adj = _successors(m)
     blocks: list[list[int]] = []
     classes: list[BlockClass] = []
     for i, cls in enumerate(dec.classes):
-        members = dec.members(i)
-        if cls is BlockClass.IMPRIMITIVE:
-            parts = _cyclic_classes(adj, members)
-            classes += [BlockClass.PRIMITIVE] * len(parts)
-        elif split_cyclic and cls is BlockClass.POWER_BOUNDED:
-            # cyclic permutation block: the power fixes every vertex
-            parts = [[v] for v in sorted(members)]
-            classes += [BlockClass.ZERO_ONE] * len(parts)
-        else:
-            parts = [sorted(members)]
-            classes.append(cls)
-        blocks += parts
-        exponent = math.lcm(exponent, len(parts))
-    return exponent, blocks, classes
-
-
-def _frobenius_power(m: ExactMatrix, dec: BlockDecomposition, split_cyclic: bool,
-                     ) -> tuple[int, ExactMatrix, BlockDecomposition]:
-    """``(t, m**t, dec_t)``: the power of ``_frobenius_partition`` and the
-    decomposition of ``m**t`` into its blocks.  ``(1, m, dec)`` when no
-    block splits."""
-    exponent, blocks, classes = _frobenius_partition(m, dec, split_cyclic)
-    if exponent == 1:
-        return 1, m, dec
-    mt = m.pow(exponent)
-    return exponent, mt, _build_decomposition(mt, blocks, classes)
+        parts = [dec.members(i)]
+        if cls in (BlockClass.IMPRIMITIVE, BlockClass.POWER_BOUNDED):
+            parts = _cyclic_classes(adj, parts[0])
+        g = math.gcd(len(parts), t)
+        if g == len(parts) > 1:
+            cls = (BlockClass.PRIMITIVE if cls is BlockClass.IMPRIMITIVE
+                   else BlockClass.ZERO_ONE)
+        blocks += [sorted(v for part in parts[k::g] for v in part)
+                   for k in range(g)]
+        classes += [cls] * g
+    return _build_decomposition(mt, blocks, classes)
 
 
 def pb_frobenius_power(m: ExactMatrix) -> tuple[int, BlockDecomposition]:
-    """Least exponent ``t`` (lcm of periods of the growing SCCs) such that
-    ``m**t`` is in PB-Frobenius form, with the refined decomposition in
-    which every imprimitive SCC splits into its cyclic classes."""
-    t, _, dec = _frobenius_power(m, scc_blocks(m), split_cyclic=False)
-    return t, dec
+    """Least exponent ``t`` (lcm of periods of the imprimitive SCCs) such
+    that ``m**t`` is in PB-Frobenius form, and the SCCs of ``m**t``
+    (``_power_decomposition``)."""
+    dec = scc_blocks(m)
+    t = _frobenius_exponents(m, dec)[0]
+    return t, _power_decomposition(m, dec, t, m.pow(t))
 
 
 def primitive_frobenius_power(m: ExactMatrix) -> tuple[int, BlockDecomposition]:
     """Exponent (lcm of periods over all non-zero SCCs) such that ``m**t``
     is in primitive Frobenius form: every diagonal block primitive or a 1x1
-    block with entry 0 or 1.  Outside PB blocks of the PB-Frobenius
-    decomposition the partition is unchanged."""
-    t, _, dec = _frobenius_power(m, scc_blocks(m), split_cyclic=True)
-    return t, dec
+    block with entry 0 or 1; and the SCCs of ``m**t``."""
+    dec = scc_blocks(m)
+    t = _frobenius_exponents(m, dec)[1]
+    return t, _power_decomposition(m, dec, t, m.pow(t))

@@ -26,7 +26,8 @@ from .errors import (
     SubperronError,
     ZeroColumnError,
 )
-from .matrices import BlockClass, BlockDecomposition, ExactMatrix, scc_blocks
+from .matrices import (BlockClass, BlockDecomposition, ExactMatrix,
+                       _power_decomposition, scc_blocks)
 
 #: relative tolerance used when comparing block eigenvalues for equality
 EIG_TOL = 1e-9
@@ -190,7 +191,7 @@ def pf_eigen_block(m: ExactMatrix, dec: BlockDecomposition,
     the diagonal block ``i`` (which must be primitive or a 1x1 zero/one
     block), certified by ``_certify_pf``.  The pair is stored on ``dec``,
     and later calls for the same block and matrix read it back.  On a power
-    ``M**t``, ``_power_pairs`` stores beforehand the pairs of the blocks
+    ``M**t``, ``_power`` stores beforehand the pairs of the blocks
     that are primitive blocks of ``M``, which are thus certified on ``M``
     and never on the power."""
     stored = dec.pf_pairs.get(i)
@@ -199,23 +200,24 @@ def pf_eigen_block(m: ExactMatrix, dec: BlockDecomposition,
     return stored[1]
 
 
-def _power_pairs(m: ExactMatrix, dec0: BlockDecomposition, t: int,
-                 mt: ExactMatrix, dec: BlockDecomposition) -> None:
-    """Store on ``dec``, the decomposition of ``mt = m**t``, the PF pair of
-    each primitive block of ``mt`` with at least two members that is a
-    primitive block of ``dec0 = scc_blocks(m)``: the block of ``M**t`` over
-    a primitive block ``A`` of ``M`` is ``A**t``, whose root is
-    ``lam(A)**t`` and whose PF vector is ``A``'s.  The root's relative
-    error is about ``t`` times that of ``A``'s, which is at float
-    precision.  Both decompositions list a block's
-    members in increasing order, so the vector needs no reordering.
-    Raises ``FloatRangeError`` naming block ``i`` when the root lies beyond
-    float range; a ``MaxIterError`` names the block of ``M`` (``dec0``)."""
+def _power(m: ExactMatrix, dec0: BlockDecomposition, t: int,
+           ) -> tuple[ExactMatrix, BlockDecomposition]:
+    """``(m**t, dec)``, ``dec`` its decomposition read off ``dec0 =
+    scc_blocks(m)`` (``(m, dec0)`` at ``t = 1``), with the PF pair of each
+    primitive block of ``M`` with two or more members stored on it: the
+    block of ``M**t`` over such a block ``A`` is ``A**t``, of root
+    ``lam(A)**t`` (relative error about ``t`` float roundings) and of
+    ``A``'s PF vector, in the same member order.  Raises
+    ``FloatRangeError`` naming block ``i`` of ``dec`` when the root lies
+    beyond float range; a ``MaxIterError`` names the block of ``M``."""
+    if t == 1:
+        return m, dec0
+    mt = m.pow(t)
+    dec = _power_decomposition(m, dec0, t, mt)
     for i in range(dec.num_blocks):
         members = dec.members(i)
         b = dec0.block_of(members[0])
-        if (len(members) < 2 or dec0.members(b) != members
-                or dec0.classes[b] is not BlockClass.PRIMITIVE):
+        if len(members) < 2 or dec0.classes[b] is not BlockClass.PRIMITIVE:
             continue
         try:
             lam, vector = pf_eigen_block(m, dec0, b)
@@ -223,6 +225,7 @@ def _power_pairs(m: ExactMatrix, dec0: BlockDecomposition, t: int,
         except (OverflowError, FloatRangeError):
             raise FloatRangeError(
                 f"block B{i + 1} has an entry beyond float range") from None
+    return mt, dec
 
 
 def _certify_pf(m: ExactMatrix, dec: BlockDecomposition,

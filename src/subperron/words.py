@@ -13,7 +13,7 @@ from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ImageOverflowError, NotExpandingError, ParseError
-from .matrices import (BlockDecomposition, ExactMatrix, _frobenius_partition,
+from .matrices import (BlockDecomposition, ExactMatrix, _frobenius_exponents,
                        is_expanding, scc_blocks)
 
 Word = tuple[int, ...]
@@ -159,7 +159,7 @@ def _stabilizing(s: Substitution) -> tuple[int, ExactMatrix, BlockDecomposition]
     dec = scc_blocks(m)
     if not dec.is_expanding():
         raise NotExpandingError("substitution is not expanding")
-    return _frobenius_partition(m, dec, split_cyclic=False)[0], m, dec
+    return _frobenius_exponents(m, dec)[0], m, dec
 
 
 class _Language:

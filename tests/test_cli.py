@@ -485,9 +485,13 @@ class TestDecomposeOnce:
     @pytest.mark.parametrize("argv", [
         ("freq", "fibonacci.sub", "--letter", "a", "--max-len", "3"),
         ("measure", "fibonacci.sub", "--letter", "a", "--word", "ab"),
+        ("freq", "cyclic4.sub", "--letter", "a", "--max-len", "3"),
+        ("measure", "cyclic4.sub", "--letter", "a", "--word", "ab"),
     ])
     def test_freq_and_measure_decompose_once(self, capsys, counts, argv):
-        # the stabilizing power is 1: its decomposition is the letter limit's
+        # fibonacci's stabilizing power is 1, and its decomposition is the
+        # letter limit's; cyclic4's is 2, and the letter matrix M^2 and its
+        # decomposition are read off M and its blocks
         code, _, _ = run(capsys, argv[0], self.INPUTS / argv[1], *argv[2:])
         assert code == 0
         assert counts == {"scc_blocks": 1, "incidence_matrix": 1}
@@ -541,9 +545,10 @@ class TestRootsFromTheBaseBlock:
         for _ in range(300):
             m = random_pb_frobenius_expanding(rng, max_n=9, max_entry=4)
             dec0 = matrices.scc_blocks(m)
-            t, mt, dec = matrices._frobenius_power(m, dec0, split_cyclic=True)
+            t, dec = matrices.primitive_frobenius_power(m)
             if t == 1:
                 continue
+            mt = m.pow(t)
             powers += 1
             report = cli._matrix_report(m, dec0)  # raises no MaxIterError
             roots = [b["eigenvalue"] for b in report["blocks"]]

@@ -19,7 +19,8 @@ from subperron import (
     scc_blocks,
     stabilizing_power,
 )
-from subperron.matrices import _build_decomposition, _frobenius_power
+from subperron.matrices import (_build_decomposition, _frobenius_exponents,
+                                _power_decomposition)
 from conftest import (has_zero_column, is_entrywise_positive, mat_pow_apply,
                       max_entry, random_pb_frobenius_expanding)
 
@@ -324,7 +325,7 @@ def random_sparse(rng):
 
 
 class TestDecompositionContract:
-    """``scc_blocks`` and ``_frobenius_power`` against ``reference_order``:
+    """``scc_blocks`` and the Frobenius powers against ``reference_order``:
     the block order fixes the B-numbers of every report."""
 
     @pytest.fixture(scope="class")
@@ -345,11 +346,19 @@ class TestDecompositionContract:
 
     def test_frobenius_power_keeps_the_order(self, matrices):
         for m in matrices:
-            dec = scc_blocks(m)
-            for split_cyclic in (False, True):
-                _, mt, dec_t = _frobenius_power(m, dec, split_cyclic)
+            for power_fn in (pb_frobenius_power, primitive_frobenius_power):
+                t, dec_t = power_fn(m)
                 blocks = [dec_t.members(i) for i in range(dec_t.num_blocks)]
-                assert_contract(mt, dec_t, blocks)
+                assert_contract(m.pow(t), dec_t, blocks)
+
+    def test_power_decomposition_is_that_of_the_power(self, matrices):
+        # read off the cyclic classes of the base matrix, with no search
+        for m in matrices:
+            dec = scc_blocks(m)
+            for t in {*_frobenius_exponents(m, dec), 2, 3, 4, 6}:
+                mt = m.pow(t)
+                assert _power_decomposition(m, dec, t, mt) == scc_blocks(mt), (
+                    m, t)
 
     def test_path_deeper_than_the_recursion_limit(self):
         # the path 2999 -> 2998 -> ... -> 0, closed by 0 -> 2998: a
@@ -393,6 +402,21 @@ class TestFrobeniusPowers:
         assert set(map(frozenset, (dec.members(0), dec.members(1)))) == {
             frozenset({0, 1}), frozenset({2, 3})}
         assert all(c is BlockClass.PRIMITIVE for c in dec.classes)
+
+    def test_pb_power_splits_a_cycle_the_power_splits(self):
+        # the imprimitive block {0, 1} makes t = 2, which also splits the
+        # 2-cycle {2, 3} that it feeds into two fixed points: M^2 has four
+        # components
+        m = ExactMatrix([[0, 2, 0, 0], [2, 0, 0, 0],
+                         [1, 0, 0, 1], [0, 0, 1, 0]])
+        t, dec = pb_frobenius_power(m)
+        assert t == 2
+        assert [dec.members(i) for i in range(dec.num_blocks)] == [
+            (0,), (1,), (2,), (3,)]
+        assert dec.classes == (BlockClass.PRIMITIVE,) * 2 + (
+            BlockClass.ZERO_ONE,) * 2
+        assert dec.dependency == ({3}, {2}, frozenset(), frozenset())
+        assert dec == scc_blocks(m.pow(2))
 
     def test_primitive_form_splits_cycles(self):
         m = ExactMatrix([[0, 1], [1, 0]])
